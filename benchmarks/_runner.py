@@ -10,7 +10,10 @@ trajectory of the repository is machine-readable from this PR on.
 Each record keeps that trajectory explicitly: the top-level ``entries`` hold
 the latest run (what ``check_regression.py`` gates on), and every earlier
 run is appended to a ``history`` list, newest last, so re-recording a
-baseline never discards the measurements it replaces.
+baseline never discards the measurements it replaces.  Records are written
+through :func:`repro.records.write_record`: atomically, and a previous record
+that does not parse is moved aside to ``BENCH_<name>.json.corrupt`` with a
+``RuntimeWarning`` rather than silently losing its history.
 
 A module may set ``BENCH_STEPS`` (engine steps executed per kernel call) to
 get a derived ``steps_per_s`` figure in its JSON.  A bench may attach
@@ -31,7 +34,6 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import inspect
-import json
 import statistics
 import sys
 import time
@@ -44,6 +46,10 @@ REPO_ROOT = BENCH_DIR.parent
 SRC = str(REPO_ROOT / "src")
 if SRC not in sys.path:
     sys.path.insert(0, SRC)
+
+# ``merge_history`` and ``HISTORY_LIMIT`` are re-exported for the tools and
+# tests that read this runner's record conventions.
+from repro.records import HISTORY_LIMIT, merge_history, write_record  # noqa: E402, F401
 
 
 def median_time(fn, repeats: int = 5):
@@ -144,40 +150,6 @@ def run_bench_file(path: Path, repeats: int) -> dict:
     return record
 
 
-#: Oldest history snapshots are dropped past this many (newest kept).
-HISTORY_LIMIT = 50
-
-
-def merge_history(out_path: Path, record: dict) -> dict:
-    """Fold the previous record into ``record["history"]``, newest last.
-
-    The committed file's own ``history`` is carried over and its top-level
-    run is appended as one more snapshot (skipped when identical to the last
-    snapshot, so migrated records do not duplicate their seed entry).
-    """
-    history: list = []
-    if out_path.exists():
-        try:
-            previous = json.loads(out_path.read_text())
-        except json.JSONDecodeError:
-            previous = None
-        if isinstance(previous, dict) and previous.get("entries"):
-            history = [
-                item
-                for item in previous.get("history", [])
-                if isinstance(item, dict)
-            ]
-            snapshot = {
-                key: previous[key]
-                for key in ("recorded_at", "entries")
-                if key in previous
-            }
-            if not history or history[-1].get("entries") != snapshot["entries"]:
-                history.append(snapshot)
-    record["history"] = history[-HISTORY_LIMIT:]
-    return record
-
-
 def select_bench_files(patterns: list[str]) -> list[Path]:
     files = sorted(BENCH_DIR.glob("bench_*.py"))
     if not patterns:
@@ -207,8 +179,7 @@ def main(argv: list[str] | None = None) -> None:
         print(f"== {path.stem} ==", flush=True)
         record = run_bench_file(path, args.repeats)
         out_path = BENCH_DIR / f"BENCH_{path.stem}.json"
-        record = merge_history(out_path, record)
-        out_path.write_text(json.dumps(record, indent=2) + "\n")
+        record = write_record(out_path, record)
         for name, entry in record["entries"].items():
             line = (
                 f"  {name}: kernel median {entry['kernel_median_s']:.6f}s"

@@ -48,6 +48,7 @@ import functools
 import hashlib
 import random
 import types
+import weakref
 from collections.abc import Callable, Mapping, Set
 
 from repro.core.configuration import Configuration, Labeling
@@ -148,11 +149,22 @@ def _sort_key(tree) -> str:
     return repr(tree)
 
 
+#: Exact item types a tuple or list may hold to take the fast path in
+#: :func:`_canonical`: each is its own canonical form, so the sequence's
+#: tree is ``("T", tuple(obj))`` without a per-item recursion.  Subclasses
+#: (``IntEnum`` members, ...) and floats take the recursive path.
+_SELF_CANONICAL = frozenset({type(None), bool, int, str, bytes})
+
+
 def _canonical(obj, stack: list) -> object:
     if obj is None or isinstance(obj, (bool, int, str, bytes)):
         return obj
     if isinstance(obj, float):
         return ("f", repr(obj))
+    if isinstance(obj, (tuple, list)) and _SELF_CANONICAL.issuperset(
+        map(type, obj)
+    ):
+        return ("T", tuple(obj))
 
     identity = id(obj)
     if identity in stack:
@@ -244,6 +256,25 @@ def fingerprint(obj) -> str:
     :data:`ENGINE_VERSION`."""
     tree = ("repro", ENGINE_VERSION, canonical(obj))
     return hashlib.sha256(repr(tree).encode()).hexdigest()
+
+
+#: Protocol digests, keyed weakly on the protocol object — the same
+#: mechanism as :func:`repro.core.compiled.compile_protocol`'s cache, with
+#: the same contract: a protocol must not be mutated after its first use.
+_PROTOCOL_DIGESTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def protocol_fingerprint(protocol) -> str:
+    """:func:`fingerprint` of ``protocol``, computed once per protocol object.
+
+    Every plan over one protocol shares the digest, so resubmitting work on
+    a protocol never re-canonicalizes its reaction tables.  Entries die with
+    their protocols.
+    """
+    digest = _PROTOCOL_DIGESTS.get(protocol)
+    if digest is None:
+        digest = _PROTOCOL_DIGESTS[protocol] = fingerprint(protocol)
+    return digest
 
 
 # -- registered extractors for the model classes ------------------------------

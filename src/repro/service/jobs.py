@@ -22,15 +22,15 @@ running).
 Completed jobs can leave a BENCH-style JSON record behind (``records_dir``):
 ``JOB_<plan-fingerprint prefix>.json`` with the latest run under
 ``entries`` and every earlier run folded into ``history`` (newest last,
-bounded), mirroring the ``benchmarks/_runner.py`` conventions so the same
-tooling can read both.
+bounded).  It is written through :func:`repro.records.write_record`, the
+same atomic, quarantining writer ``benchmarks/_runner.py`` uses for its
+``BENCH_*.json`` records, so the same tooling can read both.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-import json
 import queue
 import threading
 import time
@@ -41,6 +41,7 @@ from pathlib import Path
 
 from repro.exceptions import JobError, ValidationError
 from repro.policy import UNSET, ExecutionPolicy, resolve_policy
+from repro.records import write_record
 from repro.service.admission import (
     AdmissionDecision,
     AdmissionPolicy,
@@ -49,10 +50,6 @@ from repro.service.admission import (
 from repro.service.cache import InMemoryCache, ResultCache
 from repro.service.executor import ShardProgress, iter_shards
 from repro.service.plan import SweepPlan
-
-#: Oldest job-record history snapshots are dropped past this many
-#: (newest kept) — matches ``benchmarks/_runner.py``.
-HISTORY_LIMIT = 50
 
 #: How often a blocked ``result()``/``stream()`` call reprices a queue-held
 #: job, in seconds.  The service also reprices after every job it completes
@@ -539,8 +536,7 @@ class SweepService:
             "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             "entries": self._record_entries(job),
         }
-        record = _merge_record_history(out_path, record)
-        out_path.write_text(json.dumps(record, indent=2) + "\n")
+        write_record(out_path, record, ("job", "recorded_at", "entries"))
 
     def _record_entries(self, job: _Job) -> dict:
         latest = job.progress[-1] if job.progress else None
@@ -576,32 +572,3 @@ class SweepService:
                 entries["recovered"] = latest.aggregate.recovered_count
         return entries
 
-
-def _merge_record_history(out_path: Path, record: dict) -> dict:
-    """Fold the previous job record into ``record["history"]``, newest last.
-
-    Same convention as ``benchmarks/_runner.py``: the committed file's own
-    history is carried over, its top-level run appended as one more snapshot
-    (skipped when identical), the tail bounded by :data:`HISTORY_LIMIT`.
-    """
-    history: list = []
-    if out_path.exists():
-        try:
-            previous = json.loads(out_path.read_text())
-        except json.JSONDecodeError:
-            previous = None
-        if isinstance(previous, dict) and previous.get("entries"):
-            history = [
-                item
-                for item in previous.get("history", [])
-                if isinstance(item, dict)
-            ]
-            snapshot = {
-                key: previous[key]
-                for key in ("job", "recorded_at", "entries")
-                if key in previous
-            }
-            if not history or history[-1].get("entries") != snapshot["entries"]:
-                history.append(snapshot)
-    record["history"] = history[-HISTORY_LIMIT:]
-    return record

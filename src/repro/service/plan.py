@@ -15,10 +15,11 @@ twice from the same seeds is the same plan.
 
 Fingerprints are computed lazily (planning costs nothing beyond the factory
 calls): :meth:`SweepPlan.case_fingerprint` combines the protocol digest —
-computed once per plan — with the case's own state, the step budget, and
-the engine version salt (:mod:`repro.service.fingerprint`).  Two cases get
-the same fingerprint exactly when the engine would produce the same
-condensed result for both, which is what makes results content-addressable.
+computed once per protocol object — with the case's own state, the step
+budget, and the engine version salt (:mod:`repro.service.fingerprint`).  Two
+cases get the same fingerprint exactly when the engine would produce the
+same condensed result for both, which is what makes results
+content-addressable.
 Cosmetic state (case ``tag``s, case order, protocol names) is excluded.
 """
 
@@ -46,7 +47,11 @@ from repro.exceptions import (
 )
 from repro.faults.schedules import FaultSchedule
 from repro.policy import ExecutionPolicy
-from repro.service.fingerprint import ENGINE_VERSION, canonical, fingerprint
+from repro.service.fingerprint import (
+    ENGINE_VERSION,
+    canonical,
+    protocol_fingerprint,
+)
 
 #: Plan kinds and the report type each aggregates into.
 PLAN_KINDS = {"sweep": SweepReport, "resilience": ResilienceReport}
@@ -146,7 +151,8 @@ class SweepPlan:
     @cached_property
     def protocol_fingerprint(self) -> str:
         """Digest of the protocol's compile-level state (topology, label
-        space, reactions) — computed once and shared by every case key.
+        space, reactions) — computed once per protocol object and shared by
+        every case key of every plan over it.
 
         Raises :class:`~repro.exceptions.StaticAnalysisError` with located
         diagnostics when the protocol cannot be fingerprinted (lambda
@@ -155,7 +161,7 @@ class SweepPlan:
         produces deep inside its walk.
         """
         try:
-            return fingerprint(self.protocol)
+            return protocol_fingerprint(self.protocol)
         except FingerprintError as error:
             raise _located_fingerprint_error(
                 "plan.protocol", self.protocol, error

@@ -37,9 +37,12 @@ import types
 from collections.abc import Mapping, Set
 from dataclasses import dataclass
 
+from repro.analysis.sweeps import SweepCase
 from repro.core.compiled import compile_protocol
-from repro.exceptions import Diagnostic, StaticAnalysisError
+from repro.core.configuration import Labeling
+from repro.exceptions import Diagnostic, FingerprintError, StaticAnalysisError
 from repro.service.fingerprint import _EXTRACTORS
+from repro.service.plan import CaseSpec
 
 try:  # batch.py self-guards its numpy import, but stay importable anywhere.
     from repro.core.batch import DEFAULT_MAX_TABLE_SIZE
@@ -384,6 +387,40 @@ def fingerprint_offenders(obj, where: str = "plan") -> tuple:
     return tuple(out)
 
 
+def _undigested_offenders(plan) -> list:
+    """Offenders in the spec fields no plan digest reads.
+
+    Once the protocol and case digests have computed, canonicalization has
+    accepted everything they cover, so the walker finds nothing there.  What
+    is left is the cosmetic state the digests skip — ``index``, ``case.tag``
+    and the labeling's topology — walked at the same paths
+    :func:`fingerprint_offenders` would reach them by, each object once.  A
+    spec of any other shape is walked whole.
+    """
+    out: list[Diagnostic] = []
+    seen: set[int] = set()
+
+    def walk(obj, where):
+        if id(obj) not in seen:
+            seen.add(id(obj))
+            _walk_offenders(obj, where, [], out)
+
+    for spec in plan.specs:
+        where = f"plan.specs[{spec.index}]"
+        case = spec.case
+        if (
+            type(spec) is not CaseSpec
+            or type(case) is not SweepCase
+            or type(case.labeling) is not Labeling
+        ):
+            out.extend(fingerprint_offenders(spec, where))
+            continue
+        walk(spec.index, f"{where}.index")
+        walk(case.labeling.topology, f"{where}.case.labeling[0]")
+        walk(case.tag, f"{where}.case.tag")
+    return out
+
+
 def verify_plan(
     plan, max_table_size: int | None = None
 ) -> PlanPreflight:
@@ -392,7 +429,13 @@ def verify_plan(
     Combines :func:`verify_protocol` (static lift partition, honoring the
     plan policy's ``batch_min_rows``-adjacent ``max_table_size`` default),
     per-case input hashability (the dynamic half of the lift gate), and
-    :func:`fingerprint_offenders` over the protocol and every spec.
+    fingerprint safety.
+
+    Fingerprint safety is proven by computing the plan's protocol and case
+    digests, which the plan memoizes for the cache keys that follow; the
+    offender walker then covers only the state no digest reads.  When a
+    digest fails, :func:`fingerprint_offenders` walks the protocol and every
+    spec to locate each offender.
     """
     if max_table_size is None:
         max_table_size = DEFAULT_MAX_TABLE_SIZE
@@ -420,11 +463,17 @@ def verify_plan(
                     )
                 )
 
-    offenders = list(fingerprint_offenders(plan.protocol, "plan.protocol"))
-    for spec in plan.specs:
-        offenders.extend(
-            fingerprint_offenders(spec, f"plan.specs[{spec.index}]")
-        )
+    try:
+        plan.protocol_fingerprint
+        plan.case_fingerprints()
+    except (FingerprintError, StaticAnalysisError):
+        offenders = list(fingerprint_offenders(plan.protocol, "plan.protocol"))
+        for spec in plan.specs:
+            offenders.extend(
+                fingerprint_offenders(spec, f"plan.specs[{spec.index}]")
+            )
+    else:
+        offenders = _undigested_offenders(plan)
     # The same lambda (or RNG) is typically shared by every spec; collapse
     # duplicate findings so the report stays one line per offender.
     unique, seen = [], set()

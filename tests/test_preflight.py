@@ -12,20 +12,29 @@ raises instead of a bare, unlocated ``FingerprintError``.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
 import pytest
 
 from repro.analysis import SweepCase
-from repro.core import StatelessProtocol, UniformReaction, binary
+from repro.core import Labeling, StatelessProtocol, UniformReaction, binary
+from repro.core.schedule import Schedule
 from repro.exceptions import (
     FingerprintError,
     StaticAnalysisError,
     ValidationError,
 )
-from repro.graphs import unidirectional_ring
-from repro.service import SweepService, plan_sweep
+from repro.faults.models import FaultModel, RandomCorruption
+from repro.faults.schedules import OneShotFault
+from repro.graphs import Topology, unidirectional_ring
+from repro.service import (
+    SweepService,
+    fingerprint,
+    plan_resilience_sweep,
+    plan_sweep,
+)
 from repro.statics import fingerprint_offenders, verify_plan, verify_protocol
 from tests.helpers import random_bit_labeling
 from tests.test_service_jobs import _plan, _ring, _sync
@@ -220,3 +229,204 @@ class TestSubmitPreflight:
         with SweepService() as service:
             with pytest.raises(ValidationError, match="preflight"):
                 service.submit(plan, preflight="sometimes")
+
+
+# -- preflight reuses the plan's digests --------------------------------------
+
+
+class _Opaque:
+    """An unregistered type with no instance state: canonicalization and
+    the walker both refuse it."""
+
+    __slots__ = ()
+
+
+class _PickSchedule(Schedule):
+    """A schedule whose activation sets come from a stored function."""
+
+    def __init__(self, n, pick):
+        super().__init__(n)
+        self.pick = pick
+
+    def active(self, t):
+        return frozenset(self.pick(t))
+
+
+def _rng_schedule(index, case):
+    n = len(case.inputs)
+    rng = random.Random(index)
+
+    def pick(_t):
+        return {rng.randrange(n)}
+
+    return _PickSchedule(n, pick)
+
+
+class _LambdaFault(FaultModel):
+    def __init__(self):
+        self.keep = lambda values: values
+
+    def apply(self, values, topology, space, step):
+        return self.keep(values)
+
+
+class _RngTopology(Topology):
+    """A topology subclass carrying RNG state the digests never read."""
+
+    def __init__(self, topology):
+        super().__init__(topology.n, topology.edges)
+        self.rng = random.Random(0)
+
+
+def _tagged(tags):
+    protocol = _ring(3)
+    labeling = random_bit_labeling(protocol.topology, seed=0)
+    cases = [SweepCase((0, 0, 0), labeling, tag=tag) for tag in tags]
+    return plan_sweep(protocol, cases, _sync, max_steps=20)
+
+
+def _shared_rng_tag_plan():
+    rng = random.Random(0)
+    return _tagged([rng, "plain", rng])
+
+
+def _rng_topology_plan():
+    protocol = _ring(3)
+    topology = _RngTopology(protocol.topology)
+    cases = [
+        SweepCase((0, 0, 0), Labeling(topology, (0, 1, 0))),
+        SweepCase((1, 0, 0), Labeling(topology, (1, 1, 0))),
+    ]
+    return plan_sweep(protocol, cases, _sync, max_steps=20)
+
+
+def _resilience_plan(fault):
+    protocol = _ring(3)
+    return plan_resilience_sweep(
+        protocol, _cases(protocol, 3), _sync, lambda i, c: fault(), max_steps=20
+    )
+
+
+#: name -> (plan builder, whether the offenders sit only in state no plan
+#: digest reads: case tags and the labeling's topology).
+PREFLIGHT_PLANS = {
+    "clean": (lambda: _plan(count=3)[0], False),
+    "clean-resilience": (
+        lambda: _resilience_plan(lambda: OneShotFault(2, RandomCorruption())),
+        False,
+    ),
+    "clean-primitive-tags": (lambda: _tagged(["a", 1, None, (2, 3.5)]), False),
+    "protocol-lambda": (
+        lambda: plan_sweep(
+            _lambda_ring(4), _cases(_lambda_ring(4)), _sync, max_steps=20
+        ),
+        False,
+    ),
+    "schedule-closure-rng": (
+        lambda: plan_sweep(
+            _ring(3), _cases(_ring(3), 3), _rng_schedule, max_steps=20
+        ),
+        False,
+    ),
+    "fault-plan-lambda": (
+        lambda: _resilience_plan(lambda: OneShotFault(2, _LambdaFault())),
+        False,
+    ),
+    "opaque-input": (
+        lambda: plan_sweep(
+            _ring(3),
+            [SweepCase((0, _Opaque(), 0), random_bit_labeling(_ring(3).topology, 0))],
+            _sync,
+            max_steps=20,
+        ),
+        False,
+    ),
+    "tag-lambda": (lambda: _tagged([lambda: 0, lambda: 1]), True),
+    "tag-shared-rng": (_shared_rng_tag_plan, True),
+    "tag-opaque": (lambda: _tagged([_Opaque(), 0]), True),
+    "labeling-topology-rng": (_rng_topology_plan, True),
+}
+
+
+def _walker_only_record(plan) -> dict:
+    """``verify_plan(plan).record()`` as the offender walker alone makes it.
+
+    The reference for the digest-first preflight: the walker over the
+    protocol and every whole spec, one diagnostic per distinct offender
+    (rule, source position and message past the path).
+    """
+    offenders = list(fingerprint_offenders(plan.protocol, "plan.protocol"))
+    for spec in plan.specs:
+        offenders.extend(
+            fingerprint_offenders(spec, f"plan.specs[{spec.index}]")
+        )
+    unique, seen = [], set()
+    for diagnostic in offenders:
+        key = (diagnostic.rule, diagnostic.path, diagnostic.line,
+               diagnostic.message.split(": ", 1)[-1])
+        if key not in seen:
+            seen.add(key)
+            unique.append(diagnostic)
+    reference = dataclasses.replace(
+        verify_plan(plan), fingerprint_diagnostics=tuple(unique)
+    )
+    return reference.record()
+
+
+def _computes(*thunks) -> bool:
+    try:
+        for thunk in thunks:
+            thunk()
+    except (FingerprintError, StaticAnalysisError):
+        return False
+    return True
+
+
+class TestDigestFirstPreflight:
+    """``verify_plan`` proves fingerprint safety by computing the plan's
+    digests and walks only what they skip; its report must not change."""
+
+    @pytest.mark.parametrize("name", sorted(PREFLIGHT_PLANS))
+    def test_record_equals_the_walker_only_report(self, name):
+        build, _ = PREFLIGHT_PLANS[name]
+        record = verify_plan(build()).record()
+        assert record == _walker_only_record(build())
+        assert record["fingerprint_safe"] == name.startswith("clean")
+
+    @pytest.mark.parametrize("name", sorted(PREFLIGHT_PLANS))
+    def test_fingerprint_safe_iff_the_digests_compute(self, name):
+        build, cosmetic_only = PREFLIGHT_PLANS[name]
+        plan = build()
+        preflight = verify_plan(plan)
+        # The walker's domain, digested whole: protocol plus every spec.
+        whole = _computes(
+            lambda: fingerprint(plan.protocol),
+            *(lambda spec=spec: fingerprint(spec) for spec in plan.specs),
+        )
+        assert preflight.fingerprint_safe == whole
+        # The cache keys skip tags and the labeling's topology, so offenders
+        # there leave the plan's own digests computable; preflight still
+        # reports them, as the walker always did.
+        keys = _computes(
+            lambda: plan.protocol_fingerprint, plan.case_fingerprints
+        )
+        assert keys == (preflight.fingerprint_safe or cosmetic_only)
+        assert cosmetic_only == (keys and not preflight.fingerprint_safe)
+
+    def test_shared_tag_object_is_reported_once(self):
+        preflight = verify_plan(_shared_rng_tag_plan())
+        (diagnostic,) = preflight.errors
+        assert diagnostic.rule == "preflight/rng-state"
+        assert "plan.specs[0].case.tag" in diagnostic.message
+
+    def test_clean_preflight_leaves_the_case_keys_memoized(self, monkeypatch):
+        plan = _plan(count=3)[0]
+        assert verify_plan(plan).fingerprint_safe
+        from repro.service import plan as plan_module
+
+        def refuse(_obj):
+            raise AssertionError("case keys were recomputed")
+
+        monkeypatch.setattr(plan_module, "canonical", refuse)
+        assert len(plan.case_fingerprints()) == 3
+        assert plan.plan_fingerprint

@@ -18,12 +18,20 @@ Two satellite suites guard the cache's content addressing:
   miss.
 """
 
+import enum
+import gc
+import importlib
 import json
 import pickle
 import random
+import sys
+import threading
+import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.analysis import SweepCase
 from repro.core import (
@@ -46,6 +54,9 @@ from repro.faults.schedules import BurstFault, NoFaults, OneShotFault
 from repro.graphs import clique, unidirectional_ring
 from repro.service import ENGINE_VERSION, canonical, fingerprint
 from repro.service.plan import plan_resilience_sweep, plan_sweep
+
+# The package re-exports the ``fingerprint`` function under the module's name.
+fingerprint_module = importlib.import_module("repro.service.fingerprint")
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_fingerprints.json"
 
@@ -334,3 +345,145 @@ class TestRefusals:
         # of scalars/tuples (no object addresses leaking in).
         tree = canonical(_zoo_components()["oneshot_t3_corrupt0.5_seed1"])
         assert "0x" not in repr(tree)
+
+
+class _Bit(enum.IntEnum):
+    LOW = 0
+    HIGH = 1
+
+
+def _recursive_canonical(obj):
+    """The per-item recursion canonicalization does for any sequence."""
+    if isinstance(obj, (tuple, list)):
+        return ("T", tuple(_recursive_canonical(item) for item in obj))
+    return canonical(obj)
+
+
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from(list(_Bit))
+    | st.text(max_size=4)
+    | st.binary(max_size=4)
+    | st.floats(allow_nan=False)
+)
+_SEQUENCES = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple),
+    max_leaves=20,
+)
+
+
+class TestPrimitiveSequenceFastPath:
+    """Sequences of self-canonical items skip the per-item recursion; the
+    tree they get must be the recursion's, object for object."""
+
+    @given(_SEQUENCES)
+    def test_tree_matches_the_recursive_path(self, obj):
+        tree = canonical(obj)
+        expected = _recursive_canonical(obj)
+        # repr is what gets hashed: it separates True from 1 and an IntEnum
+        # member from its value, which == alone would not.
+        assert tree == expected
+        assert repr(tree) == repr(expected)
+
+    @given(st.lists(st.none() | st.booleans() | st.integers() | st.text()))
+    def test_flat_primitive_sequences_keep_their_items(self, items):
+        for obj in (items, tuple(items)):
+            assert canonical(obj) == ("T", tuple(items))
+
+    def test_intenum_and_float_items_keep_their_forms(self):
+        assert repr(canonical((_Bit.HIGH, 0))) == repr(("T", (_Bit.HIGH, 0)))
+        assert canonical([1, 0.5]) == ("T", (1, ("f", "0.5")))
+
+
+class TestProtocolDigestCache:
+    """Protocol digests are cached weakly per protocol object, like
+    ``compile_protocol``'s compiled forms."""
+
+    def test_entry_dies_with_its_protocol(self):
+        cache = fingerprint_module._PROTOCOL_DIGESTS
+        gc.collect()
+        before = len(cache)
+        protocol = _picklable_ring(3)
+        digest = fingerprint_module.protocol_fingerprint(protocol)
+        assert cache[protocol] == digest == fingerprint(protocol)
+        assert len(cache) == before + 1
+        alive = weakref.ref(protocol)
+        del protocol
+        gc.collect()
+        assert alive() is None
+        assert len(cache) == before
+
+    def test_second_use_is_served_from_the_cache(self, monkeypatch):
+        protocol = _picklable_ring(3)
+        digest = fingerprint_module.protocol_fingerprint(protocol)
+
+        def refuse(_obj):
+            raise AssertionError("protocol digest was recomputed")
+
+        monkeypatch.setattr(fingerprint_module, "fingerprint", refuse)
+        assert fingerprint_module.protocol_fingerprint(protocol) == digest
+        plan = plan_sweep(
+            protocol,
+            [SweepCase((0, 0, 0), Labeling(protocol.topology, (0, 1, 0)))],
+            lambda i, c: SynchronousSchedule(3),
+        )
+        assert plan.protocol_fingerprint == digest
+
+    def test_unpickled_plan_recomputes_the_same_digest(self):
+        protocol = _picklable_ring(3)
+        plan = plan_sweep(
+            protocol,
+            [SweepCase((0, 0, 0), Labeling(protocol.topology, (0, 1, 0)))],
+            lambda i, c: SynchronousSchedule(3),
+        )
+        digest = fingerprint_module.protocol_fingerprint(protocol)
+        # Pickled before the plan memoized its digest, so the clone must
+        # compute one for its own (new) protocol object.
+        clone = pickle.loads(pickle.dumps(plan))
+        assert clone.protocol is not protocol
+        assert clone.protocol not in fingerprint_module._PROTOCOL_DIGESTS
+        assert clone.protocol_fingerprint == digest
+        assert fingerprint_module._PROTOCOL_DIGESTS[clone.protocol] == digest
+
+    def test_equal_protocols_get_equal_digests_in_separate_entries(self):
+        cache = fingerprint_module._PROTOCOL_DIGESTS
+        first, second = _picklable_ring(4), _picklable_ring(4)
+        assert first is not second
+        digests = [
+            fingerprint_module.protocol_fingerprint(p) for p in (first, second)
+        ]
+        assert digests[0] == digests[1] == fingerprint(first)
+        keys = [ref() for ref in cache.keyrefs()]
+        assert sum(key is first for key in keys) == 1
+        assert sum(key is second for key in keys) == 1
+
+    def test_concurrent_first_uses_agree(self):
+        # Submitting threads and service workers race on a protocol's first
+        # digest; every racer must get the one digest, stored once.
+        protocol = _picklable_ring(5)
+        expected = fingerprint(protocol)
+        digests = []
+        barrier = threading.Barrier(8)
+
+        def first_use():
+            barrier.wait(timeout=10)
+            digests.append(fingerprint_module.protocol_fingerprint(protocol))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=first_use) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert digests == [expected] * 8
+        keys = [ref() for ref in fingerprint_module._PROTOCOL_DIGESTS.keyrefs()]
+        assert sum(key is protocol for key in keys) == 1
