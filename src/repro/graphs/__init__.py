@@ -7,6 +7,7 @@ from repro.graphs.automorphisms import (
     close_generators,
     edge_permutation,
     protocol_symmetry_group,
+    symmetry_decline_reason,
     symmetry_group_from_generators,
 )
 from repro.graphs.properties import (
@@ -57,6 +58,7 @@ __all__ = [
     "radius",
     "random_strongly_connected",
     "star",
+    "symmetry_decline_reason",
     "symmetry_group_from_generators",
     "torus",
     "unidirectional_ring",

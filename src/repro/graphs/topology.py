@@ -10,7 +10,8 @@ Nodes are ``0 .. n-1`` (the paper's 1-based node ``i`` is node ``i-1`` here).
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
+from types import MappingProxyType
 
 from repro.core.reaction import Edge
 from repro.exceptions import ValidationError
@@ -72,6 +73,11 @@ class Topology:
             return self._edge_index[edge]
         except KeyError as exc:
             raise ValidationError(f"{edge!r} is not an edge of {self.name}") from exc
+
+    @property
+    def edge_positions(self) -> Mapping[Edge, int]:
+        """Read-only ``edge -> canonical position`` map."""
+        return MappingProxyType(self._edge_index)
 
     def has_edge(self, u: int, v: int) -> bool:
         return (u, v) in self._edge_index

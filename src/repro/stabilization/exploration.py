@@ -94,7 +94,11 @@ from repro.core.compiled import CompiledProtocol, compile_protocol
 from repro.core.configuration import Labeling
 from repro.core.protocol import Protocol
 from repro.exceptions import SearchBudgetExceeded, ValidationError
-from repro.graphs.automorphisms import SymmetryGroup, protocol_symmetry_group
+from repro.graphs.automorphisms import (
+    SymmetryGroup,
+    protocol_symmetry_group,
+    symmetry_decline_reason,
+)
 from repro.policy import (
     DEFAULT_BATCH_MIN_ROWS,
     UNSET,
@@ -182,6 +186,14 @@ class ExplorationStats:
     ``states`` without a quotient, and the number of concrete states the
     quotient stands for otherwise (exact when the initial labelings are
     closed under the group, e.g. broadcast or exhaustive initial sets).
+
+    ``canonical_route`` is how quotient states were canonicalized
+    (``"refine"`` or ``"scan"``, see
+    :class:`~repro.graphs.automorphisms.StateCanonicalizer`; ``"none"``
+    without a quotient).  ``symmetry_declined`` says why ``symmetry="auto"``
+    found no quotient (see
+    :func:`~repro.graphs.automorphisms.symmetry_decline_reason`), and is
+    ``None`` when a quotient applies or none was asked for.
     """
 
     states: int
@@ -204,6 +216,8 @@ class ExplorationStats:
     canonicalizations: int
     canonical_cache_hits: int
     spilled: bool
+    canonical_route: str
+    symmetry_declined: str | None
 
     @property
     def reduction_factor(self) -> float:
@@ -534,10 +548,16 @@ class ExplorationGraph:
     # -- construction --------------------------------------------------------
 
     def _resolve_symmetry(self, symmetry) -> SymmetryGroup | None:
+        self._symmetry_declined = None
         if symmetry is None or symmetry == "none":
             return None
         if symmetry == "auto":
-            return protocol_symmetry_group(self.protocol, self.inputs)
+            group = protocol_symmetry_group(self.protocol, self.inputs)
+            if group is None:
+                self._symmetry_declined = symmetry_decline_reason(
+                    self.protocol, self.inputs
+                )
+            return group
         if isinstance(symmetry, SymmetryGroup):
             if symmetry.topology != self.topology:
                 raise ValidationError(
@@ -1017,6 +1037,10 @@ class ExplorationGraph:
             canonicalizations=counters["canonicalizations"],
             canonical_cache_hits=counters["canonical_hits"],
             spilled=self.spill_dir is not None,
+            canonical_route=(
+                self._canonicalizer.route if self._canonicalizer else "none"
+            ),
+            symmetry_declined=self._symmetry_declined,
         )
 
     # -- witness replay ------------------------------------------------------

@@ -7,7 +7,12 @@ representatives.  Each leg is checked directly here; end-to-end quotient
 equivalence lives in ``test_quotient.py``.
 """
 
+import functools
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import default_inputs
 from repro.exceptions import ValidationError
@@ -20,13 +25,17 @@ from repro.graphs import (
     edge_permutation,
     protocol_symmetry_group,
     star,
+    symmetry_decline_reason,
     torus,
     unidirectional_ring,
 )
 from repro.graphs.automorphisms import (
+    StateCanonicalizer,
     compose,
     identity_permutation,
     invert,
+    np,
+    symmetry_group_from_generators,
 )
 
 from tests.helpers import copy_ring_protocol, or_clique_protocol
@@ -180,6 +189,126 @@ class TestStateCanonicalizer:
         assert sum(len(v) for v in orbits.values()) == len(states)
 
 
+def _scan_canonicalizer(group, track_outputs):
+    """A canonicalizer forced onto the element scan, whatever the group."""
+    canon = StateCanonicalizer(group, track_outputs)
+    canon._orbits = None
+    canon._prepare_scan()
+    return canon
+
+
+def _canonical_state(group, g, values, outputs, countdown):
+    return (
+        group.apply_per_node(g, countdown),
+        group.apply_labeling(g, values),
+        None if outputs is None else group.apply_per_node(g, outputs),
+    )
+
+
+#: S_2 x S_3 on clique(5): the kind of group asymmetric inputs leave.
+def _two_block_group():
+    return symmetry_group_from_generators(
+        clique(5), [(1, 0, 2, 3, 4), (0, 1, 3, 2, 4), (0, 1, 3, 4, 2)]
+    )
+
+
+REFINE_GROUPS = {
+    "S3": lambda: SymmetryGroup(clique(3), _full_group(clique(3))),
+    "S4": lambda: SymmetryGroup(clique(4), _full_group(clique(4))),
+    "S5": lambda: SymmetryGroup(clique(5), _full_group(clique(5))),
+    "S2xS3": _two_block_group,
+    "star": lambda: SymmetryGroup(star(5), _full_group(star(5))),
+}
+#: Orderable codes and objects with no order at all.
+LABEL_POOLS = [(0, 1, 2), (1j, 2j, None)]
+
+
+@functools.cache
+def _built_group(name):
+    return REFINE_GROUPS[name]()
+
+
+class TestRefinementRoute:
+    def test_route_follows_the_group_shape(self):
+        for name, build in REFINE_GROUPS.items():
+            group = build()
+            assert group.canonicalizer(False).route == "refine", name
+        ring = unidirectional_ring(5)
+        ring_group = SymmetryGroup(ring, _full_group(ring))
+        assert ring_group.canonicalizer(False).route == "scan"
+        # Rotations of a clique: transitive, but far from all of S_4.
+        rotations = symmetry_group_from_generators(clique(4), [(1, 2, 3, 0)])
+        assert rotations.canonicalizer(True).route == "scan"
+
+    def test_refine_skips_the_element_tables(self):
+        canon = _built_group("S5").canonicalizer(False)
+        assert not hasattr(canon, "_rows") and not hasattr(canon, "_matrix")
+
+    @pytest.mark.parametrize("name", sorted(REFINE_GROUPS))
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        pool=st.sampled_from(LABEL_POOLS),
+        track_outputs=st.booleans(),
+    )
+    def test_refine_agrees_with_the_scan(self, name, data, pool, track_outputs):
+        group = _built_group(name)
+        refine = group.canonicalizer(track_outputs)
+        scan = _scan_canonicalizer(group, track_outputs)
+        n, m = group.n, len(group.topology.edges)
+
+        def draw(elements, size):
+            return tuple(data.draw(st.lists(elements, min_size=size, max_size=size)))
+
+        for _ in range(3):
+            # Few distinct values, so the states carry real symmetry.
+            values = draw(st.sampled_from(pool), m)
+            countdown = draw(st.integers(1, 3), n)
+            outputs = draw(st.sampled_from(pool), n) if track_outputs else None
+            g, ties = refine.canonical(values, outputs, countdown)
+            g0, ties0 = scan.canonical(values, outputs, countdown)
+            assert ties == ties0
+            assert _canonical_state(group, g, values, outputs, countdown) == (
+                _canonical_state(group, g0, values, outputs, countdown)
+            )
+
+    def test_broadcast_states_match_the_scan_exhaustively(self):
+        # Every binary broadcast state of K_5 under every countdown split
+        # over {1, 2}: the twin-heavy shape exhaustive verification meets.
+        group = _built_group("S5")
+        refine = group.canonicalizer(False)
+        scan = _scan_canonicalizer(group, False)
+        edges = group.topology.edges
+        for bits in itertools.product((0, 1), repeat=5):
+            values = tuple(bits[u] for u, _ in edges)
+            for countdown in itertools.product((1, 2), repeat=5):
+                g, ties = refine.canonical(values, None, countdown)
+                g0, ties0 = scan.canonical(values, None, countdown)
+                assert ties == ties0
+                assert group.apply_labeling(g, values) == (
+                    group.apply_labeling(g0, values)
+                )
+
+
+class TestScanFallback:
+    @pytest.mark.skipif(np is None, reason="the reference is the numpy scan")
+    @pytest.mark.parametrize(
+        "topology", [clique(3), unidirectional_ring(5)], ids=["clique", "ring"]
+    )
+    def test_pure_python_scan_matches_numpy(self, topology):
+        group = SymmetryGroup(topology, _full_group(topology))
+        vectorized = _scan_canonicalizer(group, True)
+        python = _scan_canonicalizer(group, True)
+        python._matrix = None
+        n = topology.n
+        for values in itertools.product((0, 1), repeat=topology.m):
+            countdown = tuple(1 + (values[i] + i) % 2 for i in range(n))
+            outputs = tuple(values[:n])
+            assert python.canonical(values, outputs, countdown) == (
+                vectorized.canonical(values, outputs, countdown)
+            )
+
+
 class TestProtocolSymmetryGroup:
     def test_or_clique_gets_the_full_symmetric_group(self):
         protocol = or_clique_protocol(clique(4))
@@ -187,6 +316,29 @@ class TestProtocolSymmetryGroup:
         assert group is not None
         assert group.order == 24
         assert group.label_universe == frozenset({0, 1})
+        assert symmetry_decline_reason(protocol, default_inputs(protocol)) is None
+
+    def test_k8_reports_the_order_cap(self):
+        protocol = or_clique_protocol(clique(8))  # |S_8| = 40,320 > 10,080
+        inputs = default_inputs(protocol)
+        assert protocol_symmetry_group(protocol, inputs) is None
+        reason = symmetry_decline_reason(protocol, inputs)
+        assert reason.startswith("order cap exceeded")
+        assert "10080" in reason
+
+    def test_distinct_inputs_leave_no_automorphism(self):
+        protocol = or_clique_protocol(clique(3))
+        assert protocol_symmetry_group(protocol, (0, 1, 2)) is None
+        assert symmetry_decline_reason(protocol, (0, 1, 2)) == (
+            "no input-invariant automorphism"
+        )
+
+    def test_oversized_label_space_exceeds_the_verify_budget(self):
+        protocol = or_clique_protocol(clique(3))
+        inputs = default_inputs(protocol)
+        assert protocol_symmetry_group(protocol, inputs, verify_budget=1) is None
+        reason = symmetry_decline_reason(protocol, inputs, verify_budget=1)
+        assert reason.startswith("verify budget exceeded")
 
     def test_result_is_cached_per_protocol(self):
         protocol = or_clique_protocol(clique(4))
@@ -225,3 +377,5 @@ class TestProtocolSymmetryGroup:
         )
         group = protocol_symmetry_group(protocol, default_inputs(protocol))
         assert group is None
+        reason = symmetry_decline_reason(protocol, default_inputs(protocol))
+        assert reason.startswith("equivariance failed")

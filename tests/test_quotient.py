@@ -39,7 +39,7 @@ from repro.stabilization import (
     example1_protocol,
 )
 
-from tests.helpers import or_clique_protocol
+from tests.helpers import copy_ring_protocol, or_clique_protocol
 
 #: The policy spelling of the legacy ``symmetry="auto"`` keyword.
 QUOTIENT = ExecutionPolicy(symmetry="auto")
@@ -203,6 +203,30 @@ class TestGoldenZoo:
         assert stats.covered_states == len(plain)
         assert stats.symmetry_order == 24
         assert stats.reduction_factor > 10
+
+    def test_stats_name_the_route_and_why_a_quotient_was_declined(self):
+        clique_protocol = or_clique_protocol(clique(3))
+        inputs = default_inputs(clique_protocol)
+        inits = list(broadcast_labelings(clique(3), clique_protocol.label_space))
+        stats = ExplorationGraph(
+            clique_protocol, inputs, 2, inits, policy=QUOTIENT
+        ).stats()
+        assert (stats.canonical_route, stats.symmetry_declined) == ("refine", None)
+        plain = ExplorationGraph(clique_protocol, inputs, 2, inits).stats()
+        assert (plain.canonical_route, plain.symmetry_declined) == ("none", None)
+        declined = ExplorationGraph(
+            clique_protocol, (0, 1, 2), 2, inits, policy=QUOTIENT
+        ).stats()
+        assert declined.canonical_route == "none"
+        assert declined.symmetry_declined == "no input-invariant automorphism"
+
+        ring = copy_ring_protocol(4)
+        ring_inits = list(broadcast_labelings(ring.topology, ring.label_space))
+        ring_stats = ExplorationGraph(
+            ring, default_inputs(ring), 2, ring_inits, policy=QUOTIENT
+        ).stats()
+        assert ring_stats.canonical_route == "scan"
+        assert ring_stats.as_dict()["canonical_route"] == "scan"
 
     def test_quotient_graph_is_frontier_mode_invariant(self):
         protocol = or_clique_protocol(clique(4))
