@@ -1,11 +1,20 @@
 """Legacy setup shim: offline environments lack the `wheel` package, so the
 PEP 517 editable path is unavailable; `pip install -e . --no-build-isolation
 --no-use-pep517` uses this file instead."""
+import re
+from pathlib import Path
+
 from setuptools import find_packages, setup
+
+# One version number: read it from the package instead of restating it.
+INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"$', INIT.read_text(), re.MULTILINE
+).group(1)
 
 setup(
     name="repro-stateless-computation",
-    version="0.6.0",
+    version=VERSION,
     description=(
         "Reproduction of 'Stateless Computation'"
         " (Dolev, Erdmann, Lutz, Schapira, Zair; PODC 2017)"
@@ -19,16 +28,12 @@ setup(
         # Compiled fused-window kernels (repro.core.batch_kernels);
         # kernel="auto" picks them up whenever numba imports.
         "numba": ["numba>=0.57", "numpy>=1.22"],
-        # Symbolic cost model, trajectory fitting, complexity gates,
-        # and cost-model-backed service admission control.
-        "costmodel": ["sympy>=1.11"],
         # Everything the test suite and benchmarks need.
         "test": [
             "pytest",
             "pytest-benchmark",
             "hypothesis",
             "numpy>=1.22",
-            "sympy>=1.11",
         ],
     },
 )

@@ -44,7 +44,7 @@ from repro.core.protocol import Protocol
 from repro.exceptions import ValidationError
 from repro.faults.injection import run_with_faults
 from repro.faults.schedules import FaultSchedule
-from repro.policy import UNSET, ExecutionPolicy, resolve_policy
+from repro.policy import DEFAULT_POLICY, ExecutionPolicy
 
 #: Builds the fault plan for one case: ``(case_index, case) -> FaultSchedule``.
 FaultFactory = Callable[[int, SweepCase], FaultSchedule]
@@ -261,9 +261,6 @@ def run_resilience_sweep(
     policy: ExecutionPolicy | None = None,
     recovered: str | Callable[[FaultCaseResult], bool] = "label",
     strict: bool = False,
-    processes: int | None = UNSET,
-    executor: str = UNSET,
-    kernel: str | None = UNSET,
 ) -> ResilienceReport:
     """Inject faults into every case and measure certified recovery.
 
@@ -278,8 +275,7 @@ def run_resilience_sweep(
     — reports equal to serial, case for case), the batch ``kernel``, and
     the fan-out width, with the same serial fallback (a
     :class:`RuntimeWarning`, or re-raised under ``strict=True``) when the
-    sweep does not pickle.  The scattered ``processes=`` / ``executor=`` /
-    ``kernel=`` keywords are deprecated shims for the policy fields.
+    sweep does not pickle.
 
     Like :func:`run_sweep`, this is now a thin wrapper over the service
     layer's planner/executor split
@@ -291,11 +287,7 @@ def run_resilience_sweep(
     from repro.service.executor import execute_plan, resolve_plan_runner
     from repro.service.plan import plan_resilience_sweep
 
-    policy = resolve_policy(
-        policy,
-        {"processes": processes, "executor": executor, "kernel": kernel},
-        api="run_resilience_sweep",
-    )
+    policy = policy or DEFAULT_POLICY
     # Validate executor/kernel/criterion before any factory runs, matching
     # the one-shot runner's error order.
     resolve_plan_runner("resilience", policy.executor, policy.kernel)

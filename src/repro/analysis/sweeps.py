@@ -47,7 +47,7 @@ from repro.core.engine import DEFAULT_MAX_STEPS, Simulator
 from repro.core.protocol import Protocol
 from repro.core.schedule import Schedule
 from repro.exceptions import ValidationError
-from repro.policy import UNSET, ExecutionPolicy, resolve_policy
+from repro.policy import DEFAULT_POLICY, ExecutionPolicy
 
 #: Builds the schedule for one case: ``(case_index, case) -> Schedule``.
 ScheduleFactory = Callable[[int, "SweepCase"], Schedule]
@@ -310,9 +310,6 @@ def run_sweep(
     max_steps: int = DEFAULT_MAX_STEPS,
     policy: ExecutionPolicy | None = None,
     strict: bool = False,
-    processes: int | None = UNSET,
-    executor: str = UNSET,
-    kernel: str | None = UNSET,
 ) -> SweepReport:
     """Run every case through one compiled form of ``protocol``.
 
@@ -332,9 +329,7 @@ def run_sweep(
     emitting a :class:`RuntimeWarning` naming the reason — or, with
     ``strict=True``, re-raising the underlying error instead of falling
     back), and the batch ``chunk_rows``.  The policy changes how fast the
-    report is produced, never its contents.  The scattered ``processes=`` /
-    ``executor=`` / ``kernel=`` keywords are deprecated shims for the same
-    fields.
+    report is produced, never its contents.
 
     Since the service layer landed, this is a thin wrapper over the
     planner/executor split: :func:`repro.service.plan_sweep` materializes
@@ -347,11 +342,7 @@ def run_sweep(
     from repro.service.executor import execute_plan, resolve_plan_runner
     from repro.service.plan import plan_sweep
 
-    policy = resolve_policy(
-        policy,
-        {"processes": processes, "executor": executor, "kernel": kernel},
-        api="run_sweep",
-    )
+    policy = policy or DEFAULT_POLICY
     # Validate executor/kernel before invoking any factory, as the one-shot
     # runner always did.
     resolve_plan_runner("sweep", policy.executor, policy.kernel)

@@ -10,7 +10,7 @@ accepted everywhere (:func:`repro.analysis.run_sweep`,
 :func:`repro.analysis.run_resilience_sweep`, :func:`repro.service.plan_sweep`,
 :func:`repro.service.execute_plan`, :meth:`repro.service.SweepService.submit`,
 :class:`repro.stabilization.ExplorationGraph`) — and, just as importantly, it
-is the input domain of the symbolic cost model
+is the input domain of the cost model
 (:mod:`repro.analysis.costmodel`): estimation, planning, admission control,
 and execution all describe *how a computation runs* with the same object.
 
@@ -24,16 +24,15 @@ Fields that a consumer does not use are ignored (a sweep does not read
 ``frontier``; an exploration graph does not read ``processes``), so one
 policy value can drive a whole pipeline.
 
-The legacy scattered keywords keep working on every entry point through
-shims that emit :class:`DeprecationWarning`; internal call sites are already
-migrated, and the shim test suite runs under
-``-W error::DeprecationWarning`` to keep it that way.
+``policy=`` is the only spelling: the scattered keywords it replaced
+(``processes=``, ``executor=``, ``kernel=``, ``frontier=``, ``symmetry=``,
+``spill_dir=``, ``batch_min_rows=``) are not accepted by any entry point and
+raise :class:`TypeError` like any unknown keyword.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, fields, replace
 
 from repro.exceptions import ValidationError
@@ -47,11 +46,6 @@ FRONTIER_MODES = ("auto", "batch", "serial")
 #: Below this many rows, frontier groups step serially (kernel dispatch
 #: overhead would dominate).  Shared default with the exploration core.
 DEFAULT_BATCH_MIN_ROWS = 32
-
-#: Sentinel distinguishing "not passed" from any legitimate value, so the
-#: deprecation shims can detect explicitly-passed legacy keywords even when
-#: the passed value equals the default.
-UNSET = type("_Unset", (), {"__repr__": lambda self: "<unset>"})()
 
 
 @dataclass(frozen=True)
@@ -139,47 +133,3 @@ class ExecutionPolicy:
 #: The do-nothing-special policy every entry point defaults to.
 DEFAULT_POLICY = ExecutionPolicy()
 
-
-def resolve_policy(
-    policy: ExecutionPolicy | None,
-    legacy: dict,
-    *,
-    api: str,
-    fallback: ExecutionPolicy | None = None,
-    stacklevel: int = 3,
-) -> ExecutionPolicy:
-    """The effective policy for one call, shimming legacy keywords.
-
-    ``legacy`` maps field names to the values the caller passed (or
-    :data:`UNSET`).  Explicitly-passed legacy keywords emit one
-    :class:`DeprecationWarning` naming the replacement and are folded into
-    the fallback policy; combining them with an explicit ``policy=`` is an
-    error (the call would be ambiguous).  With neither, the ``fallback``
-    (e.g. a plan's attached policy) or :data:`DEFAULT_POLICY` applies.
-    """
-    given = {
-        name: value for name, value in legacy.items() if value is not UNSET
-    }
-    if policy is not None and not isinstance(policy, ExecutionPolicy):
-        raise ValidationError(
-            f"{api}: policy must be an ExecutionPolicy,"
-            f" got {type(policy).__name__}"
-        )
-    if given:
-        if policy is not None:
-            raise ValidationError(
-                f"{api}: pass either policy= or the legacy keyword(s)"
-                f" {sorted(given)}, not both"
-            )
-        warnings.warn(
-            f"{api}: the {', '.join(sorted(given))} keyword(s) are"
-            f" deprecated; pass policy=ExecutionPolicy("
-            + ", ".join(f"{k}=..." for k in sorted(given))
-            + ") instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        return (fallback or DEFAULT_POLICY).merged(**given)
-    if policy is not None:
-        return policy
-    return fallback or DEFAULT_POLICY

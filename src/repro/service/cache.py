@@ -149,7 +149,9 @@ class SqliteCache(ResultCache):
     ``path`` may be a filesystem path or ``":memory:"``.  The connection is
     shared across threads behind the cache's lock (sqlite's own
     same-thread check is disabled); writes commit immediately so a crashed
-    job loses at most the entry being written.
+    job loses at most the entry being written.  File-backed stores run in
+    write-ahead-log mode, so processes sharing one file read while another
+    writes instead of failing with ``database is locked``.
     """
 
     def __init__(self, path):
@@ -158,6 +160,8 @@ class SqliteCache(ResultCache):
         self._connection = sqlite3.connect(
             self.path, check_same_thread=False
         )
+        if self.path != ":memory:":
+            self._connection.execute("PRAGMA journal_mode=WAL")
         with self._connection:
             self._connection.execute(
                 "CREATE TABLE IF NOT EXISTS results"

@@ -38,7 +38,7 @@ from repro.analysis import sweeps as _sweeps
 from repro.analysis.resilience import ResilienceReport, resolve_criterion
 from repro.analysis.sweeps import SweepReport, fan_out, resolve_executor
 from repro.exceptions import ValidationError
-from repro.policy import UNSET, ExecutionPolicy, resolve_policy
+from repro.policy import DEFAULT_POLICY, ExecutionPolicy
 from repro.service.cache import ResultCache
 from repro.service.plan import CaseSpec, SweepPlan
 
@@ -203,9 +203,6 @@ def iter_shards(
     shard_size: int | None = None,
     policy: ExecutionPolicy | None = None,
     strict: bool = False,
-    processes: int | None = UNSET,
-    executor: str = UNSET,
-    kernel: str | None = UNSET,
     recovered=None,
 ) -> Iterator[ShardProgress]:
     """Execute a plan shard by shard, yielding progress as each completes.
@@ -213,19 +210,12 @@ def iter_shards(
     ``policy`` (:class:`repro.ExecutionPolicy`) selects the case backend,
     kernel, fan-out width, and batch chunking; when omitted, the plan's own
     attached policy (:attr:`SweepPlan.policy`) applies, then the defaults.
-    The scattered ``processes=`` / ``executor=`` / ``kernel=`` keywords are
-    deprecated shims for the policy fields.  ``recovered`` names (or is)
-    the recovery criterion for resilience plans (default ``"label"``, as in
-    the one-shot runner); it is rejected for plain sweep plans.  Empty
-    plans yield nothing — callers wanting a report either way use
-    :func:`execute_plan`.
+    ``recovered`` names (or is) the recovery criterion for resilience plans
+    (default ``"label"``, as in the one-shot runner); it is rejected for
+    plain sweep plans.  Empty plans yield nothing — callers wanting a
+    report either way use :func:`execute_plan`.
     """
-    policy = resolve_policy(
-        policy,
-        {"processes": processes, "executor": executor, "kernel": kernel},
-        api="iter_shards",
-        fallback=plan.policy,
-    )
+    policy = policy or plan.policy or DEFAULT_POLICY
     processes = policy.processes
     runner = resolve_plan_runner(
         plan.kind, policy.executor, policy.kernel, policy.chunk_rows
@@ -273,25 +263,14 @@ def execute_plan(
     shard_size: int | None = None,
     policy: ExecutionPolicy | None = None,
     strict: bool = False,
-    processes: int | None = UNSET,
-    executor: str = UNSET,
-    kernel: str | None = UNSET,
     recovered=None,
 ) -> SweepReport | ResilienceReport:
     """Execute a plan to completion and return the aggregated report.
 
     With the defaults (no cache, one shard, no policy beyond the plan's
     own) this is exactly the legacy one-shot runner on the plan's cases —
-    same runners, same fan-out, same warnings, same report.  The scattered
-    ``processes=`` / ``executor=`` / ``kernel=`` keywords are deprecated
-    shims for :class:`repro.ExecutionPolicy` fields.
+    same runners, same fan-out, same warnings, same report.
     """
-    policy = resolve_policy(
-        policy,
-        {"processes": processes, "executor": executor, "kernel": kernel},
-        api="execute_plan",
-        fallback=plan.policy,
-    )
     report = plan.empty_report()
     for progress in iter_shards(
         plan,

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.exceptions import JobError, ValidationError
-from repro.policy import UNSET, ExecutionPolicy, resolve_policy
+from repro.policy import DEFAULT_POLICY, ExecutionPolicy
 from repro.records import write_record
 from repro.service.admission import (
     AdmissionDecision,
@@ -189,9 +189,6 @@ class SweepService:
         policy: ExecutionPolicy | None = None,
         shard_size: int | None = None,
         strict: bool = False,
-        processes: int | None = UNSET,
-        executor: str = UNSET,
-        kernel: str | None = UNSET,
         recovered=None,
         preflight: str = "warn",
     ) -> str:
@@ -199,11 +196,9 @@ class SweepService:
 
         The execution options mirror :func:`repro.service.execute_plan`:
         ``policy`` (:class:`repro.ExecutionPolicy`) carries the performance
-        knobs, defaulting to the plan's own attached policy; the scattered
-        ``processes=`` / ``executor=`` / ``kernel=`` keywords are
-        deprecated shims.  The id embeds the plan fingerprint, so identical
-        resubmissions are visibly related (``job-3-0f0b5a…`` vs
-        ``job-7-0f0b5a…``).
+        knobs, defaulting to the plan's own attached policy.  The id embeds
+        the plan fingerprint, so identical resubmissions are visibly
+        related (``job-3-0f0b5a…`` vs ``job-7-0f0b5a…``).
 
         ``preflight`` runs :func:`repro.statics.verify_plan` on the
         submission: ``"warn"`` (default) records the predicted batch
@@ -223,12 +218,7 @@ class SweepService:
                 f"preflight must be 'off', 'warn', or 'strict',"
                 f" not {preflight!r}"
             )
-        policy = resolve_policy(
-            policy,
-            {"processes": processes, "executor": executor, "kernel": kernel},
-            api="SweepService.submit",
-            fallback=plan.policy,
-        )
+        policy = policy or plan.policy or DEFAULT_POLICY
         check = None
         if preflight != "off":
             # Imported here: repro.statics.preflight reaches back into

@@ -44,7 +44,7 @@ from repro.core.configuration import Labeling
 from repro.core.protocol import Protocol
 from repro.core.schedule import LassoSchedule
 from repro.exceptions import ValidationError
-from repro.policy import UNSET, ExecutionPolicy, resolve_policy
+from repro.policy import ExecutionPolicy
 from repro.stabilization.exploration import (
     DEFAULT_STATE_BUDGET,
     ExplorationGraph,
@@ -93,16 +93,8 @@ def decide_label_r_stabilizing(
     initial_labelings: Iterable[Labeling] | None = None,
     budget: int = DEFAULT_STATE_BUDGET,
     policy: ExecutionPolicy | None = None,
-    symmetry=UNSET,
-    frontier: str = UNSET,
-    spill_dir=UNSET,
 ) -> StabilizationVerdict:
     """Exactly decide label r-stabilization by exhausting the states-graph."""
-    policy = resolve_policy(
-        policy,
-        {"symmetry": symmetry, "frontier": frontier, "spill_dir": spill_dir},
-        api="decide_label_r_stabilizing",
-    )
     return _decide(
         protocol,
         inputs,
@@ -121,16 +113,8 @@ def decide_output_r_stabilizing(
     initial_labelings: Iterable[Labeling] | None = None,
     budget: int = DEFAULT_STATE_BUDGET,
     policy: ExecutionPolicy | None = None,
-    symmetry=UNSET,
-    frontier: str = UNSET,
-    spill_dir=UNSET,
 ) -> StabilizationVerdict:
     """Exactly decide output r-stabilization (states also carry outputs)."""
-    policy = resolve_policy(
-        policy,
-        {"symmetry": symmetry, "frontier": frontier, "spill_dir": spill_dir},
-        api="decide_output_r_stabilizing",
-    )
     return _decide(
         protocol,
         inputs,

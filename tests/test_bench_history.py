@@ -12,6 +12,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
@@ -91,8 +93,10 @@ class TestMergeHistory:
     def test_corrupt_previous_file_is_ignored(self, tmp_path):
         out = tmp_path / "BENCH_bench_x.json"
         out.write_text("{not json")
-        merged = _runner.merge_history(out, _record(1.0))
+        with pytest.warns(RuntimeWarning, match="does not parse"):
+            merged = _runner.merge_history(out, _record(1.0))
         assert merged["history"] == []
+        assert (tmp_path / "BENCH_bench_x.json.corrupt").exists()
 
 
 class TestCommittedRecords:

@@ -1,31 +1,26 @@
-"""Tests for the symbolic cost model and its complexity gates.
+"""Tests for the cost model and its complexity gates.
 
 Trajectory fitting (synthetic trajectories of known class land in that
-class; garbage is flagged as a misfit), symbolic classification of the
-model expressions, the benchmark-record gate (an injected complexity-class
-regression in a fixture trajectory fails the check while the committed
-records pass), and capacity-planning estimates with warm-cache discounts.
+class; garbage is flagged as a misfit), the benchmark-record gate (an
+injected complexity-class regression in a fixture trajectory fails the
+check while the committed records pass), and capacity-planning estimates
+with warm-cache discounts.
 """
 
 import json
-import math
 from pathlib import Path
 
 import pytest
-
-pytest.importorskip("sympy")
 
 from repro.analysis.costmodel import (
     BENCH_EXPECTATIONS,
     CANDIDATE_CLASSES,
     CLASS_ORDER,
-    COST_MODELS,
     DEFAULT_CACHE_HIT_WORK,
     MIN_FIT_POINTS,
     ComplexitySpec,
     check_bench_dir,
     check_complexity,
-    complexity_class,
     estimate_sweep_cost,
     failures_for_record,
     fit_trajectory,
@@ -41,11 +36,7 @@ SIZES = [16.0, 32.0, 64.0, 128.0, 256.0]
 
 def _trajectory(class_name, coefficient=1e-4, noise=1.0):
     """Synthetic (sizes, times) of a known class, optionally perturbed."""
-    import sympy
-
-    from repro.analysis.costmodel import x
-
-    fn = sympy.lambdify(x, CANDIDATE_CLASSES[class_name], "math")
+    fn = CANDIDATE_CLASSES[class_name]
     return SIZES, [coefficient * fn(size) * noise for size in SIZES]
 
 
@@ -106,6 +97,9 @@ class TestFitTrajectory:
         assert fit.best == "quadratic"
         assert set(fit.residuals) == {"linear", "quadratic"}
 
+    def test_class_order_matches_candidates(self):
+        assert set(CLASS_ORDER) == set(CANDIDATE_CLASSES)
+
     def test_validation(self):
         with pytest.raises(ValidationError, match="differ in length"):
             fit_trajectory([1.0, 2.0], [1.0])
@@ -115,50 +109,6 @@ class TestFitTrajectory:
             fit_trajectory([4.0, 4.0, 4.0], [1.0, 1.0, 1.0])
         with pytest.raises(ValidationError, match="unknown complexity"):
             fit_trajectory(SIZES, [1.0] * len(SIZES), classes=["n^7"])
-
-
-class TestSymbolicModels:
-    def test_class_order_matches_candidates(self):
-        assert set(CLASS_ORDER) == set(CANDIDATE_CLASSES)
-
-    def test_engine_work_is_linear_in_every_size_symbol(self):
-        model = COST_MODELS["engine.compiled"]
-        for symbol in ("n", "d", "S", "C"):
-            assert model.complexity_in(symbol) == "linear"
-
-    def test_fused_dispatch_shrinks_with_the_window(self):
-        fused = COST_MODELS["batch.fused"]
-        packed = COST_MODELS["batch.packed"]
-        params = dict(n=64, d=1, S=100, B=4096, k=64, C=1)
-        assert fused.evaluate("dispatch", **params) < packed.evaluate(
-            "dispatch", **params
-        )
-        # same element work either way
-        assert fused.evaluate("work", **params) == packed.evaluate(
-            "work", **params
-        )
-
-    def test_exploration_is_superpolynomial_in_n(self):
-        work = COST_MODELS["exploration.frontier"].work
-        assert complexity_class(work, "n") == "superpolynomial"
-        # ... but linear in the fairness radius
-        assert complexity_class(work, "r") == "linear"
-
-    def test_quotient_divides_the_frontier_cost(self):
-        frontier = COST_MODELS["exploration.frontier"]
-        quotient = COST_MODELS["exploration.quotient"]
-        params = dict(n=4, d=3, r=3, L=2, q=24.0)
-        assert quotient.evaluate("work", **params) == pytest.approx(
-            frontier.evaluate("work", **params) / 24.0
-        )
-
-    def test_missing_parameters_are_reported(self):
-        with pytest.raises(ValidationError, match="needs parameter"):
-            COST_MODELS["engine.compiled"].evaluate("work", n=4)
-
-    def test_unknown_symbol_is_reported(self):
-        with pytest.raises(ValidationError, match="unknown model symbol"):
-            complexity_class(COST_MODELS["engine.compiled"].work, "z")
 
 
 def _fixture_record(engine_times, width_times, history=()):
@@ -298,12 +248,6 @@ class TestCli:
         assert checked == 0
         assert failures and "unreadable" in failures[0]
 
-    def test_symbols_flag(self, capsys):
-        assert costmodel_main(["--symbols"]) == 0
-        out = capsys.readouterr().out
-        assert "engine.compiled" in out
-        assert "work" in out
-
 
 class TestEstimateSweepCost:
     def test_cold_estimate_counts_every_case(self):
@@ -371,17 +315,26 @@ class TestEstimateSweepCost:
         assert "3 warm" in text
         assert "engine.compiled" in text
 
+    def test_engine_work_is_linear_in_every_size_symbol(self):
+        shape = dict(cases=10, nodes=16, degree=2, max_steps=100)
+        for policy in (None, ExecutionPolicy(executor="batch")):
+            for symbol, field_ in (
+                ("nodes", "unit_work"),
+                ("degree", "unit_work"),
+                ("max_steps", "unit_work"),
+                ("cases", "cold_work"),
+            ):
+                estimates = [
+                    estimate_sweep_cost(**{**shape, symbol: int(size)}, policy=policy)
+                    for size in SIZES
+                ]
+                ladder = [getattr(estimate, field_) for estimate in estimates]
+                fit = fit_trajectory(SIZES, ladder)
+                assert fit.best == "linear", (policy, symbol)
+                assert fit.rmse == pytest.approx(0.0, abs=1e-9)
+
     def test_validation(self):
         with pytest.raises(ValidationError, match="invalid case counts"):
             estimate_sweep_cost(
                 cases=2, nodes=4, degree=1, max_steps=10, cached_cases=3
             )
-
-
-def test_estimate_matches_symbolic_model_evaluation():
-    """The estimator and the raw model agree on per-case work."""
-    model = COST_MODELS["engine.compiled"]
-    direct = model.evaluate("work", n=32, d=3, S=500, C=1, B=1, k=64)
-    estimate = estimate_sweep_cost(cases=1, nodes=32, degree=3, max_steps=500)
-    assert estimate.unit_work == pytest.approx(direct)
-    assert math.isfinite(estimate.predicted_seconds)

@@ -1,11 +1,10 @@
 """Tests for the unified :class:`repro.ExecutionPolicy` API.
 
-The whole module runs under ``-W error::DeprecationWarning`` (scoped via
-``pytestmark``): any *internal* code path that still routes through a
-legacy scattered keyword blows up here.  Legacy spellings are exercised
-only inside explicit ``pytest.warns(DeprecationWarning)`` blocks, where the
-shim contract is the thing under test: same report, bit for bit, plus one
-warning naming the replacement.
+``policy=`` is the only way to pass a performance knob: every scattered
+keyword the policy replaced is a :class:`TypeError` on every entry point
+that once accepted it.  The module runs under
+``-W error::DeprecationWarning`` (scoped via ``pytestmark``), so no code
+path may warn its way around that.
 
 The golden-fingerprint tests pin the policy's cosmetic contract: no policy
 field may ever reach a cache key.  If they fail, either a policy field
@@ -22,13 +21,14 @@ from repro import DEFAULT_POLICY, ExecutionPolicy
 from repro.analysis import SweepCase, run_resilience_sweep, run_sweep
 from repro.core import Labeling
 from repro.exceptions import ValidationError
+from repro.faults import MinimaxAdversarySchedule, exhaustive_worst_case_delay
 from repro.faults.schedules import NoFaults
-from repro.policy import UNSET, resolve_policy
-from repro.service import SweepService, execute_plan, plan_sweep
+from repro.service import SweepService, execute_plan, iter_shards, plan_sweep
 from repro.stabilization import (
     ExplorationGraph,
     StatesGraph,
     decide_label_r_stabilizing,
+    decide_output_r_stabilizing,
 )
 from repro.stabilization.example_clique import example1_protocol
 
@@ -99,139 +99,125 @@ class TestExecutionPolicy:
             ExecutionPolicy(**fields)
 
 
-class TestResolvePolicy:
-    def test_explicit_policy_wins(self):
-        policy = ExecutionPolicy(processes=2)
-        resolved = resolve_policy(policy, {"processes": UNSET}, api="f")
-        assert resolved is policy
-
-    def test_defaults_apply_without_any_input(self):
-        assert resolve_policy(None, {}, api="f") is DEFAULT_POLICY
-        fallback = ExecutionPolicy(executor="batch")
-        assert resolve_policy(None, {}, api="f", fallback=fallback) is fallback
-
-    def test_unset_legacy_values_are_not_passed(self):
-        # No warning may escape (the module-level error filter enforces it).
-        resolved = resolve_policy(
-            None, {"processes": UNSET, "executor": UNSET}, api="f"
-        )
-        assert resolved is DEFAULT_POLICY
-
-    def test_legacy_keywords_warn_and_fold_into_the_fallback(self):
-        fallback = ExecutionPolicy(executor="batch", kernel="numpy")
-        with pytest.warns(DeprecationWarning, match="f: the processes"):
-            resolved = resolve_policy(
-                None, {"processes": 3, "executor": UNSET}, api="f",
-                fallback=fallback,
-            )
-        assert resolved == fallback.merged(processes=3)
-
-    def test_warning_names_every_passed_keyword(self):
-        with pytest.warns(
-            DeprecationWarning, match="executor, kernel.*deprecated"
-        ):
-            resolve_policy(
-                None,
-                {"executor": "batch", "kernel": "numpy", "processes": UNSET},
-                api="f",
-            )
-
-    def test_policy_plus_legacy_is_ambiguous(self):
-        with pytest.raises(ValidationError, match="not both"):
-            resolve_policy(
-                DEFAULT_POLICY, {"processes": 2}, api="run_sweep"
-            )
-
-    def test_policy_type_is_checked(self):
-        with pytest.raises(ValidationError, match="must be an ExecutionPolicy"):
-            resolve_policy("batch", {}, api="run_sweep")
+#: The scattered keywords :class:`ExecutionPolicy` replaced.
+LEGACY_KEYWORDS = {
+    "processes": 2,
+    "executor": "batch",
+    "kernel": "numpy",
+    "frontier": "serial",
+    "symmetry": "auto",
+    "spill_dir": None,
+    "batch_min_rows": 1,
+}
 
 
-class TestSweepShims:
-    """Legacy keywords on the sweep runners: warn once, same report."""
-
-    def test_run_sweep_legacy_executor_matches_policy(self):
-        protocol = _ring(4)
-        cases = _cases(protocol)
-        via_policy = run_sweep(
-            protocol,
-            cases,
-            _sync,
-            max_steps=60,
-            policy=ExecutionPolicy(executor="batch"),
-        )
-        with pytest.warns(DeprecationWarning, match="run_sweep: the executor"):
-            via_legacy = run_sweep(
-                protocol, cases, _sync, max_steps=60, executor="batch"
-            )
-        assert via_legacy == via_policy
-        # ... and both match the plain serial default.
-        assert via_policy == run_sweep(protocol, cases, _sync, max_steps=60)
-
-    def test_run_sweep_legacy_processes_matches_policy(self):
-        protocol = _ring(4)
-        cases = _cases(protocol)
-        via_policy = run_sweep(
-            protocol,
-            cases,
-            _sync,
-            max_steps=60,
-            policy=ExecutionPolicy(processes=2),
-        )
-        with pytest.warns(
-            DeprecationWarning, match="pass policy=ExecutionPolicy"
-        ):
-            via_legacy = run_sweep(
-                protocol, cases, _sync, max_steps=60, processes=2
-            )
-        assert via_legacy == via_policy
-
-    def test_run_sweep_rejects_policy_plus_legacy(self):
-        protocol = _ring(4)
-        with pytest.raises(ValidationError, match="not both"):
-            run_sweep(
-                protocol,
-                _cases(protocol, 2),
-                _sync,
-                max_steps=60,
-                policy=ExecutionPolicy(executor="batch"),
-                executor="batch",
-            )
-
-    def test_run_resilience_sweep_shim(self):
-        protocol = _ring(4)
-        cases = _cases(protocol)
-
-        def faults(index, case):
-            return NoFaults()
-
-        via_policy = run_resilience_sweep(
-            protocol,
-            cases,
-            _sync,
-            faults,
-            max_steps=60,
-            policy=ExecutionPolicy(executor="batch"),
-        )
-        with pytest.warns(
-            DeprecationWarning, match="run_resilience_sweep: the executor"
-        ):
-            via_legacy = run_resilience_sweep(
-                protocol, cases, _sync, faults, max_steps=60, executor="batch"
-            )
-        assert via_legacy == via_policy
+def _exploration_args():
+    protocol = example1_protocol(3)
+    return protocol, (0,) * 3, random_bit_labeling(protocol.topology, seed=7)
 
 
-class TestServiceShims:
-    def test_execute_plan_shim(self):
+def _call_run_sweep(**keywords):
+    protocol = _ring(4)
+    run_sweep(protocol, _cases(protocol), _sync, max_steps=60, **keywords)
+
+
+def _call_run_resilience_sweep(**keywords):
+    protocol = _ring(4)
+    run_resilience_sweep(
+        protocol,
+        _cases(protocol),
+        _sync,
+        lambda index, case: NoFaults(),
+        max_steps=60,
+        **keywords,
+    )
+
+
+def _call_execute_plan(**keywords):
+    execute_plan(_plan()[0], **keywords)
+
+
+def _call_iter_shards(**keywords):
+    list(iter_shards(_plan()[0], **keywords))
+
+
+def _call_submit(**keywords):
+    with SweepService() as service:
+        service.submit(_plan()[0], **keywords)
+
+
+def _call_exploration_graph(**keywords):
+    protocol, inputs, labeling = _exploration_args()
+    ExplorationGraph(protocol, inputs, 2, [labeling], **keywords)
+
+
+def _call_states_graph(**keywords):
+    protocol, inputs, labeling = _exploration_args()
+    StatesGraph(protocol, inputs, r=2, initial_labelings=[labeling], **keywords)
+
+
+def _call_decide_label(**keywords):
+    protocol, inputs, _ = _exploration_args()
+    decide_label_r_stabilizing(protocol, inputs, 2, **keywords)
+
+
+def _call_decide_output(**keywords):
+    protocol, inputs, _ = _exploration_args()
+    decide_output_r_stabilizing(protocol, inputs, 2, **keywords)
+
+
+def _call_worst_case_delay(**keywords):
+    protocol, inputs, labeling = _exploration_args()
+    exhaustive_worst_case_delay(protocol, inputs, labeling, 2, **keywords)
+
+
+def _call_minimax_schedule(**keywords):
+    protocol, inputs, labeling = _exploration_args()
+    MinimaxAdversarySchedule(protocol, inputs, labeling, 2, **keywords)
+
+
+ENTRY_POINTS = {
+    "run_sweep": _call_run_sweep,
+    "run_resilience_sweep": _call_run_resilience_sweep,
+    "execute_plan": _call_execute_plan,
+    "iter_shards": _call_iter_shards,
+    "SweepService.submit": _call_submit,
+    "ExplorationGraph": _call_exploration_graph,
+    "StatesGraph": _call_states_graph,
+    "decide_label_r_stabilizing": _call_decide_label,
+    "decide_output_r_stabilizing": _call_decide_output,
+    "exhaustive_worst_case_delay": _call_worst_case_delay,
+    "MinimaxAdversarySchedule": _call_minimax_schedule,
+}
+
+
+class TestPolicyOnly:
+    """``policy=`` is the one spelling every entry point accepts."""
+
+    @pytest.mark.parametrize(
+        "entry, keyword",
+        [(entry, keyword) for entry in ENTRY_POINTS for keyword in LEGACY_KEYWORDS],
+        ids=[
+            f"{entry}-{keyword}"
+            for entry in ENTRY_POINTS
+            for keyword in LEGACY_KEYWORDS
+        ],
+    )
+    def test_legacy_keyword_is_a_type_error(self, entry, keyword):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
+            ENTRY_POINTS[entry](**{keyword: LEGACY_KEYWORDS[keyword]})
+
+    def test_entry_points_run_with_only_a_policy(self):
+        # Every call helper is valid as written: the TypeError above comes
+        # from the legacy keyword alone.
+        for call in ENTRY_POINTS.values():
+            call(policy=ExecutionPolicy(frontier="serial"))
+
+    def test_submitted_policy_changes_speed_not_the_report(self):
         plan, _, _ = _plan()
-        via_policy = execute_plan(plan, policy=ExecutionPolicy(executor="batch"))
-        with pytest.warns(
-            DeprecationWarning, match="execute_plan: the executor"
-        ):
-            via_legacy = execute_plan(plan, executor="batch")
-        assert via_legacy == via_policy
-        assert via_policy == execute_plan(plan)
+        with SweepService() as service:
+            job_id = service.submit(plan, policy=ExecutionPolicy(executor="batch"))
+            assert service.result(job_id, timeout=30) == execute_plan(plan)
 
     def test_plan_attached_policy_needs_no_keywords_at_all(self):
         bare, protocol, cases = _plan()
@@ -242,43 +228,7 @@ class TestServiceShims:
             max_steps=60,
             policy=ExecutionPolicy(executor="batch"),
         )
-        # Executing the plan touches no legacy path and emits no warning.
         assert execute_plan(plan) == execute_plan(bare)
-
-    def test_service_submit_shim(self):
-        plan, _, _ = _plan()
-        with SweepService() as service:
-            via_policy = service.result(
-                service.submit(plan, policy=ExecutionPolicy(executor="batch")),
-                timeout=30,
-            )
-            with pytest.warns(
-                DeprecationWarning, match="SweepService.submit: the executor"
-            ):
-                legacy_id = service.submit(plan, executor="batch")
-            assert service.result(legacy_id, timeout=30) == via_policy
-
-
-class TestExplorationShims:
-    def test_exploration_graph_legacy_symmetry_matches_policy(self):
-        protocol = example1_protocol(3)
-        inputs = (0,) * 3
-        inits = [random_bit_labeling(protocol.topology, seed=7)]
-        via_policy = ExplorationGraph(
-            protocol,
-            inputs,
-            2,
-            inits,
-            policy=ExecutionPolicy(symmetry="auto", frontier="serial"),
-        )
-        with pytest.warns(
-            DeprecationWarning, match="ExplorationGraph: the .*symmetry"
-        ):
-            via_legacy = ExplorationGraph(
-                protocol, inputs, 2, inits, symmetry="auto", frontier="serial"
-            )
-        assert via_legacy.state_keys == via_policy.state_keys
-        assert len(via_legacy.edge_dst) == len(via_policy.edge_dst)
 
     def test_states_graph_accepts_a_policy(self):
         protocol = example1_protocol(3)
@@ -293,11 +243,6 @@ class TestExplorationShims:
             policy=ExecutionPolicy(symmetry="auto"),
         )
         assert len(quotient.state_keys) <= len(plain.state_keys)
-        with pytest.warns(DeprecationWarning, match="StatesGraph"):
-            legacy = StatesGraph(
-                protocol, inputs, r=2, initial_labelings=inits, symmetry="auto"
-            )
-        assert len(legacy.state_keys) == len(quotient.state_keys)
 
     def test_model_checker_accepts_a_policy(self):
         protocol = example1_protocol(3)
@@ -307,13 +252,6 @@ class TestExplorationShims:
             protocol, inputs, 2, policy=ExecutionPolicy(symmetry="auto")
         )
         assert via_policy.stabilizing == plain.stabilizing
-        with pytest.warns(
-            DeprecationWarning, match="decide_label_r_stabilizing"
-        ):
-            via_legacy = decide_label_r_stabilizing(
-                protocol, inputs, 2, symmetry="auto"
-            )
-        assert via_legacy.stabilizing == plain.stabilizing
 
 
 class TestFingerprintCosmetics:

@@ -7,8 +7,10 @@ resubmissions bit for bit, and incremental shard aggregates merge to
 exactly the one-shot report.
 """
 
+import multiprocessing
 import pickle
 import random
+import sqlite3
 
 import pytest
 
@@ -48,6 +50,15 @@ from tests.helpers import or_clique_protocol, random_bit_labeling
 
 
 # Module-level pieces so plans pickle and the multiprocessing path works.
+def _fill_cache(path, worker, count):
+    """One process's share of a concurrent fill: put, then read back."""
+    with SqliteCache(path) as cache:
+        for i in range(count):
+            key = f"{worker}-{i}"
+            cache.put(key, (worker, i))
+            assert cache.get(key) == (worker, i)
+
+
 def _xor_bit(incoming, _x):
     (value,) = incoming.values()
     return value, value
@@ -113,6 +124,34 @@ class TestCaches:
             assert reopened.get("k") == 42
             # counters are per-connection, contents are not
             assert reopened.stats.hits == 1
+
+    def test_sqlite_file_store_uses_the_write_ahead_log(self, tmp_path):
+        path = tmp_path / "cache.db"
+        SqliteCache(path).close()
+        # The journal mode is a property of the file: a fresh connection
+        # sees what the cache set.
+        connection = sqlite3.connect(path)
+        try:
+            (mode,) = connection.execute("PRAGMA journal_mode").fetchone()
+        finally:
+            connection.close()
+        assert mode == "wal"
+
+    def test_sqlite_file_is_filled_by_concurrent_processes(self, tmp_path):
+        path = tmp_path / "cache.db"
+        SqliteCache(path).close()
+        workers = [
+            multiprocessing.Process(target=_fill_cache, args=(path, w, 300))
+            for w in range(4)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+        assert [worker.exitcode for worker in workers] == [0] * 4
+        with SqliteCache(path) as cache:
+            assert len(cache) == 4 * 300
+            assert cache.get("3-299") == (3, 299)
 
 
 class TestPlanning:
