@@ -1,13 +1,13 @@
-"""A7 — frontier-parallel exploration with symmetry quotient: K_7 capacity.
+"""A7 — exploration with symmetry quotient: K_7 capacity.
 
 Acceptance gate for the quotiented exploration core
-(:mod:`repro.stabilization.exploration` with ``symmetry="auto"`` plus the
-level-synchronous batch frontier): the Example-1 **K_7 / r=4** states-graph
-— 132,701 concrete (labeling, countdown) states, ~13s of concrete BFS on
-the gating hardware class — must materialize as a symmetry quotient in
-**under 10 seconds**, with the quotient covering at least **10x** more
-concrete states than it stores (measured: ~475 stored states covering all
-132,701, a ~280x reduction, in ~2.3s).
+(:mod:`repro.stabilization.exploration` with ``symmetry="auto"``): the
+Example-1 **K_7 / r=4** states-graph — 132,701 concrete (labeling,
+countdown) states, ~13s of concrete BFS on the gating hardware class — must
+materialize as a symmetry quotient in **under 10 seconds**, with the
+quotient covering at least **10x** more concrete states than it stores
+(measured: ~475 stored states covering all 132,701, a ~280x reduction, in
+~2.3s).
 
 Both bounds ship as hard gates in the JSON record (``gates``), so
 ``check_regression.py`` re-enforces them on every subsequent run rather

@@ -33,8 +33,8 @@ distributed computation and every construction in it:
   plan preflight (predicted batch partition, fingerprint-safety), and the
   repo-invariant lint gate (``python -m repro.statics``).
 
-How any of these *run* — executor, kernel, fan-out, frontier engine,
-symmetry quotient — is described by one frozen value object,
+How any of these *run* — executor, kernel, fan-out, symmetry quotient,
+spill directory — is described by one frozen value object,
 :class:`repro.ExecutionPolicy`, accepted uniformly by the sweep runners,
 the service layer, and the exploration core.  Policies are cosmetic:
 they change how fast answers arrive, never which answers (or which cache
@@ -61,7 +61,7 @@ from repro.exceptions import Diagnostic, StaticAnalysisError
 from repro.graphs import Topology
 from repro.policy import DEFAULT_POLICY, ExecutionPolicy
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "CompiledProtocol",

@@ -91,7 +91,7 @@ except ImportError:  # pragma: no cover - exercised only on numpy-less installs
 #: ``|Sigma| ** in_degree`` stays at or below this many rows.
 DEFAULT_MAX_TABLE_SIZE = 1 << 16
 
-#: Upper bound on the adaptive fused-window length (``fuse="auto"``).
+#: Upper bound on the adaptive fused-window length.
 MAX_FUSE_WINDOW = 64
 
 #: Resident-stack budget for one fused window, in bytes; the window length
@@ -852,9 +852,9 @@ class BatchSimulator:
     def step_codes(self, codes, ocodes, active):
         """One shared-activation-set transition over arbitrary code rows.
 
-        The frontier-expansion entry point for the exploration core: every
-        row of ``codes`` (shape ``(L, m)``, any row count — independent of
-        the simulator's ``batch_size``) is stepped once with the *same*
+        The code-column entry point for state-space expansion: every row
+        of ``codes`` (shape ``(L, m)``, any row count — independent of the
+        simulator's ``batch_size``) is stepped once with the *same*
         activation set ``active``, against the batch's (uniform) input
         vector.  ``ocodes`` is the matching ``(L, n)`` output-code array
         (pass zeros when outputs are untracked; code 0 of a fresh
@@ -1077,37 +1077,9 @@ class BatchSimulator:
                 xb_t = None
                 if shared_xb is None and xb is not None:
                     xb_t = xb[r0:r1]
-                fused_shift = (
-                    shift is not None
-                    and variant == "s2"
-                    and flip_unit
-                    and yflip_unit
-                )
                 for j, mk in enumerate(masks):
                     src = st[j]
-                    if fused_shift:
-                        # Ring xor family: the gather is a cyclic shift and
-                        # both selects are plain xors, so each step is two
-                        # segment xors per stack — no staging buffer at all.
-                        a = m - shift
-                        np.bitwise_xor(
-                            src[:, shift:], base_row[:a], out=st[j + 1][:, :a]
-                        )
-                        np.bitwise_xor(
-                            src[:, shift:], ybase[:a], out=ost[j + 1][:, :a]
-                        )
-                        if shift:
-                            np.bitwise_xor(
-                                src[:, :shift],
-                                base_row[a:],
-                                out=st[j + 1][:, a:],
-                            )
-                            np.bitwise_xor(
-                                src[:, :shift],
-                                ybase[a:],
-                                out=ost[j + 1][:, a:],
-                            )
-                    elif shift is not None:
+                    if shift is not None:
                         # Cyclic-shift gather: two contiguous block copies.
                         g[:, : m - shift] = src[:, shift:]
                         if shift:
@@ -1116,9 +1088,7 @@ class BatchSimulator:
                         # mode="clip" skips the bounds check; ``flat`` is a
                         # compile-time permutation, always in range.
                         np.take(src, flat, axis=1, out=g, mode="clip")
-                    if fused_shift:
-                        pass
-                    elif variant == "s2":
+                    if variant == "s2":
                         if flip_unit:
                             np.bitwise_xor(g, base_row, out=st[j + 1])
                         else:
@@ -1273,21 +1243,19 @@ class BatchSimulator:
         *,
         max_steps: int = DEFAULT_MAX_STEPS,
         initial_outputs: Sequence[Sequence[Any] | None] | None = None,
-        fuse: int | str = "auto",
     ) -> list[RunReport]:
         """Run every row's case to a verdict; one ``RunReport`` per row.
 
         ``schedules`` is one schedule per row (a single schedule object is
         shared by every row — only sound for stateless-in-time schedules,
-        which all of :mod:`repro.core.schedule` are).  ``fuse`` bounds the
-        fused stepping window: ``"auto"`` (adaptive, the default), or a
-        fixed positive step count (``1`` disables fusion; any value is
-        serial-equivalent, the knob only exists for benchmarking and
-        bisection).  Traces are not recorded; use the serial engine for
-        ``record_trace`` runs.
+        which all of :mod:`repro.core.schedule` are).  Steps run in fused
+        windows that grow while no row settles and shrink to single steps
+        when one does (up to :data:`MAX_FUSE_WINDOW`); every window length
+        is serial-equivalent.  Traces are not recorded; use the serial
+        engine for ``record_trace`` runs.
         """
         reports = self._run_lockstep(
-            labelings, schedules, None, max_steps, initial_outputs, fuse
+            labelings, schedules, None, max_steps, initial_outputs
         )
         return [report for report, _, _ in reports]
 
@@ -1299,7 +1267,6 @@ class BatchSimulator:
         *,
         max_steps: int = DEFAULT_MAX_STEPS,
         initial_outputs: Sequence[Sequence[Any] | None] | None = None,
-        fuse: int | str = "auto",
     ):
         """Injected batch runs; one ``FaultRunReport`` per row.
 
@@ -1311,7 +1278,7 @@ class BatchSimulator:
         from repro.faults.injection import FaultRunReport
 
         reports = self._run_lockstep(
-            labelings, schedules, fault_plans, max_steps, initial_outputs, fuse
+            labelings, schedules, fault_plans, max_steps, initial_outputs
         )
         out = []
         for report, fault_times, base in reports:
@@ -1334,8 +1301,7 @@ class BatchSimulator:
         return out
 
     def _run_lockstep(
-        self, labelings, schedules, fault_plans, max_steps, initial_outputs,
-        fuse="auto",
+        self, labelings, schedules, fault_plans, max_steps, initial_outputs
     ):
         B = self.batch_size
         n = self.protocol.n
@@ -1353,13 +1319,6 @@ class BatchSimulator:
             initial_outputs = [None] * B
         elif len(initial_outputs) != B:
             raise ValidationError("outputs must have one entry per row")
-        if fuse != "auto" and (
-            isinstance(fuse, bool) or not isinstance(fuse, int) or fuse < 1
-        ):
-            raise ValidationError(
-                "fuse must be 'auto' or a positive step count"
-            )
-        adaptive = fuse == "auto"
 
         interner = self._interner
         y_interners = self._y_interners
@@ -1606,7 +1565,7 @@ class BatchSimulator:
 
         # -- main loop, in fused windows of k >= 1 steps ------------------
         t = 0
-        window = 1 if adaptive else int(fuse)
+        window = 1
         stack_buf = None
         ostack_buf = None
         while t < max_steps and live.size:
@@ -1987,13 +1946,10 @@ class BatchSimulator:
                     alive[slot] = False
                 live = live[alive[live]]
             t += k
-            if adaptive:
-                # Grow while the window is event-free, shrink to single
-                # steps the moment rows settle: conclusions cluster, and a
-                # short window wastes no speculative stepping near them.
-                window = (
-                    1 if finished_any else min(window * 2, MAX_FUSE_WINDOW)
-                )
+            # Grow while the window is event-free, shrink to single steps
+            # the moment rows settle: conclusions cluster, and a short
+            # window wastes no speculative stepping near them.
+            window = 1 if finished_any else min(window * 2, MAX_FUSE_WINDOW)
 
         if live.size:
             finals = self._materialize_many(codes[live], ocodes[live])

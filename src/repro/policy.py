@@ -1,12 +1,11 @@
 """One execution-policy object for every performance knob in the stack.
 
 The repository grew three performance layers — the compiled engine, the
-vectorized batch backend, and the frontier-parallel exploration core — and
-each grew its own keyword spelling of "how should this run": ``executor=``
-and ``kernel=`` and ``processes=`` on the sweep runners, ``frontier=`` /
-``symmetry=`` / ``spill_dir=`` / ``batch_min_rows=`` on the exploration
-graph.  :class:`ExecutionPolicy` unifies those into one frozen value object
-accepted everywhere (:func:`repro.analysis.run_sweep`,
+vectorized batch backend, and the exploration core — and each grew its own
+keyword spelling of "how should this run": ``executor=`` and ``kernel=`` and
+``processes=`` on the sweep runners, ``symmetry=`` / ``spill_dir=`` on the
+exploration graph.  :class:`ExecutionPolicy` unifies those into one frozen
+value object accepted everywhere (:func:`repro.analysis.run_sweep`,
 :func:`repro.analysis.run_resilience_sweep`, :func:`repro.service.plan_sweep`,
 :func:`repro.service.execute_plan`, :meth:`repro.service.SweepService.submit`,
 :class:`repro.stabilization.ExplorationGraph`) — and, just as importantly, it
@@ -21,13 +20,13 @@ construction, so identical physics shares cache entries across executors,
 kernels, and policy spellings.
 
 Fields that a consumer does not use are ignored (a sweep does not read
-``frontier``; an exploration graph does not read ``processes``), so one
+``symmetry``; an exploration graph does not read ``processes``), so one
 policy value can drive a whole pipeline.
 
 ``policy=`` is the only spelling: the scattered keywords it replaced
-(``processes=``, ``executor=``, ``kernel=``, ``frontier=``, ``symmetry=``,
-``spill_dir=``, ``batch_min_rows=``) are not accepted by any entry point and
-raise :class:`TypeError` like any unknown keyword.
+(``processes=``, ``executor=``, ``kernel=``, ``symmetry=``, ``spill_dir=``)
+are not accepted by any entry point and raise :class:`TypeError` like any
+unknown keyword.
 """
 
 from __future__ import annotations
@@ -41,11 +40,6 @@ from repro.exceptions import ValidationError
 SWEEP_EXECUTORS = ("serial", "batch")
 #: Batch compute kernels (``None`` defers to the batch backend's default).
 BATCH_KERNELS = ("numpy", "numba", "auto")
-#: Frontier-expansion engines for the exploration core.
-FRONTIER_MODES = ("auto", "batch", "serial")
-#: Below this many rows, frontier groups step serially (kernel dispatch
-#: overhead would dominate).  Shared default with the exploration core.
-DEFAULT_BATCH_MIN_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -62,13 +56,10 @@ class ExecutionPolicy:
       ``None`` uses the backend default
       (:data:`repro.core.batch.SWEEP_CHUNK_ROWS`); requires
       ``executor="batch"``.
-    * ``frontier`` — exploration expansion engine: ``"auto"``, ``"batch"``,
-      or ``"serial"``.
     * ``symmetry`` — exploration quotient: ``"none"``, ``"auto"``, or an
       explicit :class:`~repro.graphs.automorphisms.SymmetryGroup`.
     * ``spill_dir`` — directory for disk-backed (memmap) edge/parent
       arrays in the exploration core; ``None`` keeps them in memory.
-    * ``batch_min_rows`` — smallest frontier group worth a kernel call.
 
     Frozen and value-compared; derive variants with :meth:`merged`.
     """
@@ -77,10 +68,8 @@ class ExecutionPolicy:
     kernel: str | None = None
     processes: int | None = None
     chunk_rows: int | None = None
-    frontier: str = "auto"
     symmetry: object = "none"
     spill_dir: str | os.PathLike | None = None
-    batch_min_rows: int = DEFAULT_BATCH_MIN_ROWS
 
     def __post_init__(self):
         if self.executor not in SWEEP_EXECUTORS:
@@ -109,13 +98,6 @@ class ExecutionPolicy:
                 raise ValidationError("chunk_rows must be >= 1")
         if self.processes is not None and self.processes < 1:
             raise ValidationError("processes must be >= 1")
-        if self.frontier not in FRONTIER_MODES:
-            raise ValidationError(
-                f"unknown frontier mode {self.frontier!r};"
-                f" expected one of {sorted(FRONTIER_MODES)}"
-            )
-        if self.batch_min_rows < 1:
-            raise ValidationError("batch_min_rows must be >= 1")
 
     def merged(self, **overrides) -> "ExecutionPolicy":
         """A copy with the given fields replaced (and re-validated)."""

@@ -35,15 +35,6 @@ r-fair schedule.  There is an edge for every *valid* activation set ``T``
 * **A transition cache.**  The successor labeling (and outputs) of a state
   depend only on ``(labeling, [outputs,] T)`` — not on the countdown — so
   states that share a labeling reuse one evaluation per activation set.
-* **Frontier-parallel expansion** (``frontier="auto"``).  The BFS runs
-  level-synchronously; before expanding a level it collects every uncached
-  ``(labeling, outputs, T)`` transition the level needs, groups them by
-  activation set, and evaluates each group as one ``(B, m)`` packed-code
-  kernel call through the batch backend
-  (:meth:`repro.core.batch.BatchSimulator.step_codes`).  Results are
-  staged and *interned in the serial scan order*, so state indices, parent
-  links, successor arrays — and everything built on them — stay
-  bit-identical to the serial expansion.
 * **Symmetry quotient** (``symmetry="auto"``).  When a verified symmetry
   group is available (:func:`repro.graphs.automorphisms
   .protocol_symmetry_group`), every discovered state is canonicalized to
@@ -203,9 +194,6 @@ class ExplorationStats:
     activation_cache_hits: int
     activation_cache_misses: int
     peak_frontier: int
-    frontier_mode: str
-    batch_calls: int
-    batch_rows: int
     symmetry_order: int
     covered_states: int
     canonicalizations: int
@@ -366,12 +354,9 @@ class ExplorationGraph:
     :attr:`edge_dst` / :attr:`edge_sid` and :attr:`parent_idx` /
     :attr:`parent_sid`), which consumers may scan directly.
 
-    ``frontier`` selects the expansion engine: ``"serial"`` steps one edge
-    at a time through the compiled protocol; ``"batch"`` evaluates each
-    level's uncached transitions as packed-code kernel calls grouped by
-    activation set (requires numpy); ``"auto"`` (default) uses the batch
-    route when it is available and the protocol's reactions lift to lookup
-    tables.  All routes produce bit-identical graphs.
+    Transitions are evaluated one uncached edge at a time through the
+    compiled protocol (:meth:`~repro.core.compiled.CompiledProtocol
+    .step_values`).
 
     ``symmetry`` opts into the automorphism quotient: ``"none"`` (default)
     explores concrete states; ``"auto"`` discovers and *verifies* the
@@ -385,10 +370,10 @@ class ExplorationGraph:
     memmaps in that directory (created if missing; files are left behind
     for post-mortem inspection).
 
-    All four knobs are fields of :class:`repro.ExecutionPolicy`, passed
+    Both knobs are fields of :class:`repro.ExecutionPolicy`, passed
     together as ``policy=``.  The policy is cosmetic here as everywhere:
-    every route, every quotient, every spill produces the same graph up to
-    state order.
+    every quotient and every spill produces the same graph up to state
+    order.
 
     ``budget`` bounds the number of states; exceeding it raises
     :class:`SearchBudgetExceeded` with ``name`` in the message so callers
@@ -408,9 +393,7 @@ class ExplorationGraph:
     ):
         policy = policy or DEFAULT_POLICY
         symmetry = policy.symmetry
-        frontier = policy.frontier
         spill_dir = policy.spill_dir
-        batch_min_rows = policy.batch_min_rows
         if r < 1:
             raise ValidationError("fairness parameter r must be >= 1")
         self.protocol = protocol
@@ -435,15 +418,6 @@ class ExplorationGraph:
             spill = os.fspath(spill_dir)
             os.makedirs(spill, exist_ok=True)
         self.spill_dir = spill
-
-        self._frontier_requested = frontier
-        if frontier == "batch" and np is None:
-            raise ValidationError(
-                "frontier='batch' requires numpy; use 'serial' or 'auto'"
-            )
-        self._engine = None
-        self._engine_enabled = frontier != "serial" and np is not None
-        self._batch_min_rows = max(1, batch_min_rows)
 
         # Interning pools: id -> value, value -> id.
         none_outputs = (None,) * n
@@ -494,13 +468,10 @@ class ExplorationGraph:
             "activation_hits": 0,
             "activation_misses": 0,
             "peak_frontier": 0,
-            "batch_calls": 0,
-            "batch_rows": 0,
             "canonicalizations": 0,
             "canonical_hits": 0,
         }
         self._covered = 0
-        self._frontier_mode = "serial"
 
         # (labeling id, output id, activation-set id) -> successor.
         # Countdown-independent, so all states sharing a labeling reuse one
@@ -658,6 +629,10 @@ class ExplorationGraph:
             key = (lid, 0, start_cid)
             if key in index:
                 continue
+            if len(self.state_keys) >= budget:
+                raise SearchBudgetExceeded(
+                    f"{name} exceeded budget of {budget} states"
+                )
             k = self._add_state(key, -1, -1, gid, orbit)
             self.initial_indices.append(k)
             self._initial_labeling_at[k] = labeling
@@ -668,15 +643,13 @@ class ExplorationGraph:
             counters["peak_frontier"] = max(
                 counters["peak_frontier"], len(frontier)
             )
-            pending = self._stage_level(frontier)
             next_frontier: list[int] = []
             for k in frontier:
-                expand(k, pending, next_frontier, budget, name)
+                expand(k, next_frontier, budget, name)
             frontier = next_frontier
 
-    def _expand(self, k, pending, next_frontier, budget, name) -> None:
-        """Expand one concrete state: the historical serial scan, with
-        staged batch results consumed at the same scan positions."""
+    def _expand(self, k, next_frontier, budget, name) -> None:
+        """Expand one concrete state: the historical serial scan."""
         counters = self._stats_counters
         state_keys = self.state_keys
         index = self._index
@@ -693,16 +666,12 @@ class ExplorationGraph:
             nxt = transitions.get(tkey)
             if nxt is None:
                 counters["transition_misses"] += 1
-                staged = pending.pop((lid, oid, t), None) if pending else None
-                if staged is not None:
-                    new_values, new_outputs = staged
-                elif track_outputs:
-                    new_values, new_outputs = step(
-                        self._labels[lid], self._outs[oid], t, inputs_t
-                    )
-                else:
-                    new_values, _ = step(self._labels[lid], None, t, inputs_t)
-                    new_outputs = None
+                new_values, new_outputs = step(
+                    self._labels[lid],
+                    self._outs[oid] if track_outputs else None,
+                    t,
+                    inputs_t,
+                )
                 noid = self._intern_out(new_outputs) if track_outputs else 0
                 nlid = self._intern_label(new_values)
                 nxt = (nlid, noid)
@@ -722,7 +691,7 @@ class ExplorationGraph:
             edge_sid.append(tid)
         self.edge_offsets.append(len(edge_dst))
 
-    def _expand_quotient(self, k, pending, next_frontier, budget, name) -> None:
+    def _expand_quotient(self, k, next_frontier, budget, name) -> None:
         """Expand one canonical state, canonicalizing every raw successor.
 
         The changed-labeling/changed-output flags compare the raw successor
@@ -745,16 +714,12 @@ class ExplorationGraph:
             entry = transitions.get(tkey)
             if entry is None:
                 counters["transition_misses"] += 1
-                staged = pending.pop((lid, oid, t), None) if pending else None
-                if staged is not None:
-                    new_values, new_outputs = staged
-                elif track_outputs:
-                    new_values, new_outputs = step(
-                        self._labels[lid], self._outs[oid], t, inputs_t
-                    )
-                else:
-                    new_values, _ = step(self._labels[lid], None, t, inputs_t)
-                    new_outputs = None
+                new_values, new_outputs = step(
+                    self._labels[lid],
+                    self._outs[oid] if track_outputs else None,
+                    t,
+                    inputs_t,
+                )
                 self._check_universe(new_values)
                 label_changed = new_values != self._labels[lid]
                 output_changed = bool(
@@ -819,109 +784,6 @@ class ExplorationGraph:
             self.edge_gid.append(gid)
             self.edge_flags.append(int(label_changed) | (int(output_changed) << 1))
         self.edge_offsets.append(len(self.edge_dst))
-
-    # -- frontier batching ---------------------------------------------------
-
-    def _ensure_engine(self):
-        """The lazily built batch engine, or ``None`` when batching is off."""
-        if not self._engine_enabled:
-            return None
-        if self._engine is None:
-            from repro.core.batch import BatchSimulator
-
-            try:
-                engine = BatchSimulator(self.protocol, [self.inputs])
-            except ValidationError:
-                if self._frontier_requested == "batch":
-                    raise
-                self._engine_enabled = False
-                return None
-            if self._frontier_requested == "auto" and not engine.lifted_nodes:
-                # Nothing lifts to tables: the kernel would run the same
-                # per-row Python fallback as the serial scan, minus the
-                # staging overhead.  Not worth it.
-                self._engine_enabled = False
-                return None
-            self._engine = engine
-            self._frontier_mode = "batch"
-        return self._engine
-
-    def _stage_level(self, frontier: list[int]):
-        """Pass 1 of a level: batch-evaluate the level's uncached transitions.
-
-        Collects every ``(labeling, outputs, T)`` key the level will need,
-        groups the missing ones by activation set, and runs one
-        ``step_codes`` kernel call per group that clears
-        ``batch_min_rows``.  Results are staged in a dict keyed by the raw
-        activation set; pass 2 (``_expand*``) pops them at the exact serial
-        scan position.  Staging interns *nothing* (it reads the module
-        activation-set cache and only looks pools up), so the interning
-        order — and with it every id and index in the graph — is
-        bit-identical no matter which route evaluated a transition.
-        """
-        engine = self._ensure_engine()
-        if engine is None:
-            return None
-        counters = self._stats_counters
-        transitions = self._transitions
-        set_ids = self._set_ids
-        n = self.n
-        staged: set = set()
-        buckets: dict[frozenset[int], list[tuple[int, int]]] = {}
-        for k in frontier:
-            lid, oid, cid = self.state_keys[k]
-            countdown = self._countdowns[cid]
-            for t in _cached_activation_sets(countdown, n):
-                tid = set_ids.get(t)
-                if tid is not None and (lid, oid, tid) in transitions:
-                    continue
-                pkey = (lid, oid, t)
-                if pkey in staged:
-                    continue
-                staged.add(pkey)
-                buckets.setdefault(t, []).append((lid, oid))
-
-        pending: dict[tuple[int, int, frozenset[int]], tuple] = {}
-        track_outputs = self.track_outputs
-        interner = engine.batch_compiled.interner
-        y_interners = engine.batch_compiled.y_interners
-        for t, rows in buckets.items():
-            if len(rows) < self._batch_min_rows:
-                continue
-            label_rows = [self._labels[lid] for (lid, _oid) in rows]
-            codes = interner.bulk_encode(label_rows)
-            if codes is None:
-                codes = np.asarray(
-                    [interner.encode_values(row) for row in label_rows],
-                    dtype=np.int64,
-                )
-            if track_outputs:
-                ocodes = np.asarray(
-                    [
-                        [
-                            y_interners[i].encode(value)
-                            for i, value in enumerate(self._outs[oid])
-                        ]
-                        for (_lid, oid) in rows
-                    ],
-                    dtype=np.int64,
-                )
-            else:
-                ocodes = np.zeros((len(rows), n), dtype=np.int64)
-            new_codes, new_ocodes = engine.step_codes(codes, ocodes, t)
-            counters["batch_calls"] += 1
-            counters["batch_rows"] += len(rows)
-            for row, (lid, oid) in enumerate(rows):
-                new_values = interner.decode_values(new_codes[row])
-                if track_outputs:
-                    new_outputs = tuple(
-                        y_interners[i].decode(int(new_ocodes[row, i]))
-                        for i in range(n)
-                    )
-                else:
-                    new_outputs = None
-                pending[(lid, oid, t)] = (new_values, new_outputs)
-        return pending or None
 
     # -- component access ----------------------------------------------------
 
@@ -991,7 +853,7 @@ class ExplorationGraph:
         return self._sets[sid]
 
     def stats(self) -> ExplorationStats:
-        """Construction statistics (pool sizes, cache hit rates, batching)."""
+        """Construction statistics (pool sizes, cache hit rates, quotient)."""
         counters = self._stats_counters
         return ExplorationStats(
             states=len(self.state_keys),
@@ -1006,9 +868,6 @@ class ExplorationGraph:
             activation_cache_hits=counters["activation_hits"],
             activation_cache_misses=counters["activation_misses"],
             peak_frontier=counters["peak_frontier"],
-            frontier_mode=self._frontier_mode,
-            batch_calls=counters["batch_calls"],
-            batch_rows=counters["batch_rows"],
             symmetry_order=self._group.order if self._group else 1,
             covered_states=self._covered,
             canonicalizations=counters["canonicalizations"],

@@ -426,8 +426,8 @@ def verify_plan(
 ) -> PlanPreflight:
     """Full preflight of a :class:`~repro.service.plan.SweepPlan`.
 
-    Combines :func:`verify_protocol` (static lift partition, honoring the
-    plan policy's ``batch_min_rows``-adjacent ``max_table_size`` default),
+    Combines :func:`verify_protocol` (static lift partition under the
+    ``max_table_size`` gate),
     per-case input hashability (the dynamic half of the lift gate), and
     fingerprint safety.
 

@@ -55,6 +55,7 @@ from repro.faults import (
     WindowFault,
 )
 from repro.graphs import clique, unidirectional_ring
+from repro.stabilization import valid_activation_sets
 
 np = pytest.importorskip("numpy")
 
@@ -624,6 +625,76 @@ class TestFusedWindows:
             settle_steps.add(report.steps_executed)
         # The point of the test: rows genuinely finished at distinct times.
         assert len(settle_steps) > 1
+
+
+# -- step_codes ---------------------------------------------------------------
+
+
+class TestStepCodes:
+    """``step_codes`` steps arbitrary code rows exactly like the serial
+    ``step_values``, one shared activation set per call."""
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("track_outputs", [False, True])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_step_values_row_by_row(self, kernel, track_outputs, seed):
+        rng = random.Random(seed)
+        protocol = random_tabular_protocol(rng)
+        n = protocol.n
+        inputs = tuple(rng.randrange(2) for _ in range(n))
+        engine = BatchSimulator(protocol, [inputs], kernel=kernel)
+        compiled = engine.compiled
+        interner = engine.batch_compiled.interner
+        y_interners = engine.batch_compiled.y_interners
+        labels = list(protocol.label_space)
+        count = rng.randrange(1, 12)
+        rows = [
+            tuple(rng.choice(labels) for _ in range(protocol.topology.m))
+            for _ in range(count)
+        ]
+        outs = [tuple(rng.randrange(3) for _ in range(n)) for _ in range(count)]
+        codes = np.asarray([interner.encode_values(row) for row in rows])
+        if track_outputs:
+            ocodes = np.asarray(
+                [[y_interners[i].encode(y) for i, y in enumerate(o)] for o in outs]
+            )
+        else:
+            ocodes = np.zeros((count, n), dtype=np.int64)
+        # With no countdown at 1, every nonempty node set is valid.
+        for active in valid_activation_sets((2,) * n, n):
+            new_codes, new_ocodes = engine.step_codes(codes, ocodes, active)
+            assert new_codes.shape == codes.shape
+            for row in range(count):
+                want_values, want_outs = compiled.step_values(
+                    rows[row], outs[row] if track_outputs else None, active, inputs
+                )
+                assert interner.decode_values(new_codes[row]) == want_values
+                if track_outputs:
+                    assert (
+                        tuple(
+                            y_interners[i].decode(int(new_ocodes[row, i]))
+                            for i in range(n)
+                        )
+                        == want_outs
+                    )
+
+    def test_requires_uniform_inputs(self):
+        protocol = random_tabular_protocol(random.Random(3))
+        n = protocol.n
+        engine = BatchSimulator(protocol, [(0,) * n, (1,) * n])
+        codes = np.zeros((2, protocol.topology.m), dtype=np.int64)
+        ocodes = np.zeros((2, n), dtype=np.int64)
+        with pytest.raises(ValidationError, match="one shared input vector"):
+            engine.step_codes(codes, ocodes, {0})
+
+    def test_rejects_the_wrong_column_count(self):
+        protocol = random_tabular_protocol(random.Random(4))
+        n = protocol.n
+        engine = BatchSimulator(protocol, [(0,) * n])
+        codes = np.zeros((2, protocol.topology.m + 1), dtype=np.int64)
+        ocodes = np.zeros((2, n), dtype=np.int64)
+        with pytest.raises(ValidationError, match="label codes"):
+            engine.step_codes(codes, ocodes, {0})
 
 
 # -- packed interner ----------------------------------------------------------

@@ -56,7 +56,6 @@ class TestExecutionPolicy:
         assert policy.executor == "serial"
         assert policy.kernel is None
         assert policy.processes is None
-        assert policy.frontier == "auto"
         assert policy.symmetry == "none"
 
     def test_frozen_value_object(self):
@@ -79,7 +78,7 @@ class TestExecutionPolicy:
         text = ExecutionPolicy(executor="batch", processes=2).describe()
         assert "executor='batch'" in text
         assert "processes=2" in text
-        assert "frontier" not in text
+        assert "symmetry" not in text
 
     @pytest.mark.parametrize(
         "fields, match",
@@ -90,12 +89,17 @@ class TestExecutionPolicy:
             ({"chunk_rows": 512}, "executor='batch'"),
             ({"executor": "batch", "chunk_rows": 0}, "chunk_rows"),
             ({"processes": 0}, "processes"),
-            ({"frontier": "threads"}, "unknown frontier"),
-            ({"batch_min_rows": 0}, "batch_min_rows"),
         ],
     )
     def test_validation(self, fields, match):
         with pytest.raises(ValidationError, match=match):
+            ExecutionPolicy(**fields)
+
+    @pytest.mark.parametrize("fields", [{"frontier": "serial"}, {"batch_min_rows": 1}])
+    def test_removed_fields_are_a_type_error(self, fields):
+        # The staged batch frontier and its row threshold are gone; the
+        # exploration core always runs the serial scan.
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
             ExecutionPolicy(**fields)
 
 
@@ -211,7 +215,7 @@ class TestPolicyOnly:
         # Every call helper is valid as written: the TypeError above comes
         # from the legacy keyword alone.
         for call in ENTRY_POINTS.values():
-            call(policy=ExecutionPolicy(frontier="serial"))
+            call(policy=ExecutionPolicy(symmetry="auto"))
 
     def test_submitted_policy_changes_speed_not_the_report(self):
         plan, _, _ = _plan()
@@ -284,9 +288,7 @@ class TestFingerprintCosmetics:
             None,
             ExecutionPolicy(),
             ExecutionPolicy(executor="batch", kernel="numba", processes=4),
-            ExecutionPolicy(
-                frontier="serial", symmetry="auto", batch_min_rows=1
-            ),
+            ExecutionPolicy(symmetry="auto"),
         ],
         ids=["none", "default", "batch-numba-fanout", "exploration-knobs"],
     )

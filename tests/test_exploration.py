@@ -240,15 +240,23 @@ class TestBudgetAndValidation:
                 budget=10,
             )
 
-    def test_budget_allows_exactly_the_reachable_size(self):
+    @pytest.mark.parametrize("r, symmetry", [(1, "none"), (2, "none"), (1, "auto")])
+    def test_budget_allows_exactly_the_reachable_size(self, r, symmetry):
+        # At r=1 every reachable state is an initial one, so this also
+        # checks that roots count against the budget, plain and quotient.
         protocol = example1_protocol(3)
         inputs = default_inputs(protocol)
         initials = list(broadcast_labelings(protocol.topology, protocol.label_space))
-        full = StatesGraph(protocol, inputs, 2, initials)
-        again = StatesGraph(protocol, inputs, 2, initials, budget=len(full))
+        policy = ExecutionPolicy(symmetry=symmetry)
+        full = StatesGraph(protocol, inputs, r, initials, policy=policy)
+        again = StatesGraph(
+            protocol, inputs, r, initials, budget=len(full), policy=policy
+        )
         assert len(again) == len(full)
         with pytest.raises(SearchBudgetExceeded):
-            StatesGraph(protocol, inputs, 2, initials, budget=len(full) - 1)
+            StatesGraph(
+                protocol, inputs, r, initials, budget=len(full) - 1, policy=policy
+            )
 
     def test_invalid_r_rejected(self):
         protocol = example1_protocol(3)
@@ -421,58 +429,10 @@ class TestActivationSetCache:
             assert len(exploration._ACTIVATION_SETS) <= 4
 
 
-# -- frontier modes -----------------------------------------------------------
+# -- spilling and stats -------------------------------------------------------
 
 
-class TestFrontierModes:
-    """The batch frontier route must be bit-identical to the serial scan."""
-
-    @pytest.mark.parametrize("case", _gadgets())
-    def test_forced_batch_matches_serial(self, case):
-        protocol, r, inits = case
-        inputs = default_inputs(protocol)
-        serial = ExplorationGraph(
-            protocol, inputs, r, inits, policy=ExecutionPolicy(frontier="serial")
-        )
-        batch = ExplorationGraph(
-            protocol,
-            inputs,
-            r,
-            inits,
-            policy=ExecutionPolicy(frontier="batch", batch_min_rows=1),
-        )
-        assert serial.state_keys == batch.state_keys
-        assert serial.successors == batch.successors
-        assert list(serial.parent_idx) == list(batch.parent_idx)
-        assert list(serial.parent_sid) == list(batch.parent_sid)
-        assert batch.stats().batch_calls > 0
-
-    def test_forced_batch_matches_serial_with_outputs(self):
-        protocol = copy_ring_protocol(4)
-        inputs = default_inputs(protocol)
-        inits = [Labeling(protocol.topology, (1, 0, 0, 1))]
-        serial = ExplorationGraph(
-            protocol,
-            inputs,
-            2,
-            inits,
-            track_outputs=True,
-            policy=ExecutionPolicy(frontier="serial"),
-        )
-        batch = ExplorationGraph(
-            protocol,
-            inputs,
-            2,
-            inits,
-            track_outputs=True,
-            policy=ExecutionPolicy(frontier="batch", batch_min_rows=1),
-        )
-        assert serial.state_keys == batch.state_keys
-        assert serial.successors == batch.successors
-        assert [serial.outputs_of(k) for k in range(len(serial))] == [
-            batch.outputs_of(k) for k in range(len(batch))
-        ]
-
+class TestSpillAndStats:
     def test_spilled_graph_matches_in_memory(self, tmp_path):
         pytest.importorskip("numpy")
         protocol = or_clique_protocol(clique(4))
@@ -506,4 +466,3 @@ class TestFrontierModes:
         assert stats.reduction_factor == pytest.approx(1.0)
         record = stats.as_dict()
         assert record["states"] == len(graph)
-        assert record["frontier_mode"] in {"serial", "batch", "auto"}

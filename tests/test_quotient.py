@@ -228,31 +228,6 @@ class TestGoldenZoo:
         assert ring_stats.canonical_route == "scan"
         assert ring_stats.as_dict()["canonical_route"] == "scan"
 
-    def test_quotient_graph_is_frontier_mode_invariant(self):
-        protocol = or_clique_protocol(clique(4))
-        inputs = default_inputs(protocol)
-        inits = list(broadcast_labelings(protocol.topology, protocol.label_space))
-        serial = ExplorationGraph(
-            protocol,
-            inputs,
-            3,
-            inits,
-            policy=ExecutionPolicy(symmetry="auto", frontier="serial"),
-        )
-        batch = ExplorationGraph(
-            protocol,
-            inputs,
-            3,
-            inits,
-            policy=ExecutionPolicy(
-                symmetry="auto", frontier="batch", batch_min_rows=1
-            ),
-        )
-        assert serial.state_keys == batch.state_keys
-        assert serial.successors == batch.successors
-        assert list(serial.edge_gid) == list(batch.edge_gid)
-        assert list(serial.edge_flags) == list(batch.edge_flags)
-
     def test_explicit_group_and_topology_mismatch(self):
         from repro.graphs import automorphism_generators, close_generators
         from repro.graphs.automorphisms import SymmetryGroup
