@@ -17,7 +17,7 @@ that does not parse is moved aside to ``BENCH_<name>.json.corrupt`` with a
 
 A module may set ``BENCH_STEPS`` (engine steps executed per kernel call) to
 get a derived ``steps_per_s`` figure in its JSON.  A bench may attach
-arbitrary numeric facts to its record via ``benchmark.extra["field"] = v``
+arbitrary numeric facts to its record via ``benchmark.extra_info["field"] = v``
 (merged into the entry), and declare hard acceptance gates via a module
 level ``BENCH_GATES = {entry_name: {"max_kernel_median_s": ..., "min":
 {field: floor}}}`` — gates are copied into the record so
@@ -80,7 +80,7 @@ class TimingBenchmark:
         self.times: list[float] = []
         #: Extra numeric facts the bench wants in its JSON entry
         #: (e.g. ``quotient_reduction_factor``); merged by the runner.
-        self.extra: dict = {}
+        self.extra_info: dict = {}
 
     def __call__(self, fn, *args, **kwargs):
         result = None
@@ -138,7 +138,7 @@ def run_bench_file(path: Path, repeats: int) -> dict:
         }
         if steps_per_call and fixture.median:
             entry["steps_per_s"] = steps_per_call / fixture.median
-        entry.update(fixture.extra)
+        entry.update(fixture.extra_info)
         entries[name] = entry
     record = {
         "bench": path.stem,

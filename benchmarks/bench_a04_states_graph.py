@@ -158,11 +158,11 @@ def test_a04_states_graph_construction(benchmark):
         f"({core_rate:,.0f} vs {seed_rate:,.0f} states/s)"
     )
     stats = core_graph.stats()
-    benchmark.extra["states"] = stats.states
-    benchmark.extra["edges"] = stats.edges
-    benchmark.extra["transition_cache_hits"] = stats.transition_cache_hits
-    benchmark.extra["transition_cache_misses"] = stats.transition_cache_misses
-    benchmark.extra["peak_frontier"] = stats.peak_frontier
+    benchmark.extra_info["states"] = stats.states
+    benchmark.extra_info["edges"] = stats.edges
+    benchmark.extra_info["transition_cache_hits"] = stats.transition_cache_hits
+    benchmark.extra_info["transition_cache_misses"] = stats.transition_cache_misses
+    benchmark.extra_info["peak_frontier"] = stats.peak_frontier
     benchmark(core_kernel)
 
 
@@ -195,9 +195,9 @@ def test_a04_capacity_headroom(benchmark):
         ],
     )
     stats = graph.stats()
-    benchmark.extra["states"] = stats.states
-    benchmark.extra["edges"] = stats.edges
-    benchmark.extra["transition_cache_hits"] = stats.transition_cache_hits
-    benchmark.extra["transition_cache_misses"] = stats.transition_cache_misses
-    benchmark.extra["peak_frontier"] = stats.peak_frontier
+    benchmark.extra_info["states"] = stats.states
+    benchmark.extra_info["edges"] = stats.edges
+    benchmark.extra_info["transition_cache_hits"] = stats.transition_cache_hits
+    benchmark.extra_info["transition_cache_misses"] = stats.transition_cache_misses
+    benchmark.extra_info["peak_frontier"] = stats.peak_frontier
     benchmark(capacity_kernel)

@@ -89,11 +89,11 @@ def test_a07_k7_quotient_construction(benchmark):
         f" concrete coverage (gate: {GATE_REDUCTION}x)"
     )
 
-    benchmark.extra["states"] = stats.states
-    benchmark.extra["covered_states"] = stats.covered_states
-    benchmark.extra["quotient_reduction_factor"] = stats.reduction_factor
-    benchmark.extra["symmetry_order"] = stats.symmetry_order
-    benchmark.extra["edges"] = stats.edges
+    benchmark.extra_info["states"] = stats.states
+    benchmark.extra_info["covered_states"] = stats.covered_states
+    benchmark.extra_info["quotient_reduction_factor"] = stats.reduction_factor
+    benchmark.extra_info["symmetry_order"] = stats.symmetry_order
+    benchmark.extra_info["edges"] = stats.edges
     benchmark(quotient_kernel)
 
 
@@ -130,7 +130,7 @@ def test_a07_quotient_coverage_anchor(benchmark):
         ],
     )
 
-    benchmark.extra["states"] = stats.states
-    benchmark.extra["covered_states"] = stats.covered_states
-    benchmark.extra["quotient_reduction_factor"] = stats.reduction_factor
+    benchmark.extra_info["states"] = stats.states
+    benchmark.extra_info["covered_states"] = stats.covered_states
+    benchmark.extra_info["quotient_reduction_factor"] = stats.reduction_factor
     benchmark(anchor_kernel)

@@ -21,7 +21,7 @@ Two ladders, one per size the implementation promises linearity in:
   means the lockstep kernels stopped vectorizing over rows.
 
 Each entry carries parallel ``sizes`` / ``times_s`` arrays (via
-``benchmark.extra``) — exactly the trajectory shape
+``benchmark.extra_info``) — exactly the trajectory shape
 :func:`repro.analysis.costmodel.fit_trajectory` consumes, and what
 ``check_regression.py``'s complexity pass and the standalone
 ``python -m repro.analysis.costmodel benchmarks`` CI step re-fit on every
@@ -124,8 +124,8 @@ def test_a08_engine_node_scaling(benchmark):
     # The timed entry kernel re-runs the largest size (so kernel_median_s
     # stays a plain throughput figure); the ladder ships via extra.
     benchmark(lambda: _node_sweep(NODE_SIZES[-1]))
-    benchmark.extra["sizes"] = list(NODE_SIZES)
-    benchmark.extra["times_s"] = times
+    benchmark.extra_info["sizes"] = list(NODE_SIZES)
+    benchmark.extra_info["times_s"] = times
     _ladder_table(
         f"A8: serial engine node scaling — {NODE_CASES} cases x"
         f" {NODE_STEPS} steps (median of {REPEATS})",
@@ -164,8 +164,8 @@ def test_a08_batch_width_scaling(benchmark):
             policy=BATCH,
         )
     )
-    benchmark.extra["sizes"] = list(WIDTH_SIZES)
-    benchmark.extra["times_s"] = times
+    benchmark.extra_info["sizes"] = list(WIDTH_SIZES)
+    benchmark.extra_info["times_s"] = times
     _ladder_table(
         f"A8: batch width scaling — {WIDTH_N}-node ring x"
         f" {WIDTH_STEPS} steps (median of {REPEATS})",

@@ -61,7 +61,7 @@ from repro.exceptions import Diagnostic, StaticAnalysisError
 from repro.graphs import Topology
 from repro.policy import DEFAULT_POLICY, ExecutionPolicy
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "CompiledProtocol",

@@ -200,17 +200,17 @@ def _run_fault_cases(protocol, cases, per_case, max_steps, start_index):
 
 
 def _run_fault_cases_batch(
-    protocol, cases, per_case, max_steps, start_index, kernel=None, chunk_rows=None
+    protocol, cases, per_case, max_steps, start_index, kernel=None
 ):
     """Batch worker: injected cases in vectorized lockstep runs.
 
-    Large case lists run as sub-batches of ``chunk_rows`` (default
-    ``SWEEP_CHUNK_ROWS``) for cache residency, mirroring
+    Large case lists run as sub-batches of ``SWEEP_CHUNK_ROWS`` for cache
+    residency, mirroring
     :func:`repro.analysis.sweeps._run_cases_batch`.
     """
     from repro.core.batch import SWEEP_CHUNK_ROWS, BatchSimulator
 
-    rows = chunk_rows if chunk_rows is not None else SWEEP_CHUNK_ROWS
+    rows = SWEEP_CHUNK_ROWS
     results = []
     for lo in range(0, len(cases), rows):
         chunk = cases[lo : lo + rows]
@@ -290,7 +290,7 @@ def run_resilience_sweep(
     policy = policy or DEFAULT_POLICY
     # Validate executor/kernel/criterion before any factory runs, matching
     # the one-shot runner's error order.
-    resolve_plan_runner("resilience", policy.executor, policy.kernel)
+    resolve_plan_runner("resilience", policy)
     resolve_criterion(recovered)
     plan = plan_resilience_sweep(
         protocol, cases, schedule_factory, fault_factory, max_steps=max_steps

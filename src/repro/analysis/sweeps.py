@@ -231,19 +231,18 @@ def _run_cases_batch(
     max_steps: int,
     start_index: int,
     kernel: str | None = None,
-    chunk_rows: int | None = None,
 ) -> list[CaseResult]:
     """Run a slice of cases in lockstep through the vectorized batch backend.
 
     Same contract as :func:`_run_cases` (the reports are equal case for
     case); the import is deferred so the serial sweep path never requires
-    numpy.  Large case lists run as several sub-batches of ``chunk_rows``
-    (default ``SWEEP_CHUNK_ROWS``) — cases are independent, so slicing
-    changes nothing but cache residency.
+    numpy.  Large case lists run as several sub-batches of
+    ``SWEEP_CHUNK_ROWS`` — cases are independent, so slicing changes nothing
+    but cache residency.
     """
     from repro.core.batch import SWEEP_CHUNK_ROWS, BatchSimulator
 
-    rows = chunk_rows if chunk_rows is not None else SWEEP_CHUNK_ROWS
+    rows = SWEEP_CHUNK_ROWS
     results = []
     for lo in range(0, len(cases), rows):
         chunk = cases[lo : lo + rows]
@@ -328,8 +327,8 @@ def run_sweep(
     everything involved pickles; otherwise the sweep runs in-process,
     emitting a :class:`RuntimeWarning` naming the reason — or, with
     ``strict=True``, re-raising the underlying error instead of falling
-    back), and the batch ``chunk_rows``.  The policy changes how fast the
-    report is produced, never its contents.
+    back).  The policy changes how fast the report is produced, never its
+    contents.
 
     Since the service layer landed, this is a thin wrapper over the
     planner/executor split: :func:`repro.service.plan_sweep` materializes
@@ -345,7 +344,7 @@ def run_sweep(
     policy = policy or DEFAULT_POLICY
     # Validate executor/kernel before invoking any factory, as the one-shot
     # runner always did.
-    resolve_plan_runner("sweep", policy.executor, policy.kernel)
+    resolve_plan_runner("sweep", policy)
     plan = plan_sweep(protocol, cases, schedule_factory, max_steps=max_steps)
     return execute_plan(plan, policy=policy, strict=strict)
 

@@ -26,6 +26,13 @@ The lift has two tiers, chosen per node:
   space, every lifted node is demoted to the fallback path before the next
   transition, so stale table keys can never be consulted.
 
+Inputs are lifted once, in one way: construction dedupes the input rows by
+equality into ``distinct`` rows plus an ``inverse`` index (unhashable rows
+all count as distinct), each node's columns are looked up over the distinct
+rows only, and each table group's per-row base offsets are a
+``(len(distinct), g)`` matrix gathered through ``inverse``.  When every base
+row is equal the group keeps that single row, which broadcasts.
+
 Three throughput layers sit on top of the lift (this module's hot loop):
 
 * **Packed codes.**  Code arrays and lookup-table columns are packed to the
@@ -43,6 +50,15 @@ Three throughput layers sit on top of the lift (this module's hot loop):
   settles mid-window is concluded from its in-window state, and the extra
   stepped states are simply discarded).  Windows shrink to 1 near settle
   points and around fault fire times, and grow while nothing happens.
+  Fully lifted rings (one degree-1 group in identity edge layout) take the
+  *mono* route, whose specializations each keep a measured win (perfbench
+  ``sweep_cold`` xor ring, 2 vCPUs, numpy 2.4, no numba): the window is
+  tiled over cache-sized row blocks (without it the sweep takes 2.4-2.6 s,
+  not 0.96-0.99 s); a rotated ``in_pos`` becomes a cyclic-shift copy
+  instead of a gather (0.29-0.39 s per chunk kernel, 0.38-0.47 s without);
+  binary u8 tables with one shared base row step by arithmetic select,
+  ``s2`` (1.24-1.37 s without).  Everything else indexes the tables with
+  two ``take`` calls.
 * **Optional numba kernels.**  ``kernel="numba"`` routes the fused window
   through :mod:`repro.core.batch_kernels`' ``@njit`` loops when numba is
   importable (``kernel="auto"``, the default, selects it automatically);
@@ -418,12 +434,10 @@ class _Group:
         "valid",
         "all_valid",
         "xbase",
-        "xbase_zero",
         "xbase_row",
         "n_out",
         "degree",
         "covers_all",
-        "comb",
         "s2",
         "y_cast",
         "shift",
@@ -507,13 +521,20 @@ class BatchSimulator:
         rows = self._normalize_inputs(inputs, n, batch_size)
         self.inputs = rows
         self.batch_size = len(rows)
-        # Sweeps typically share one input vector across the population;
-        # detecting that once lets _assemble scan a single row instead of
-        # B rows per node (identity usually short-circuits the compare).
-        first = rows[0]
-        self._uniform_inputs = all(
-            row is first or row == first for row in rows
-        )
+        # Sweeps typically share one input vector across the population, so
+        # the lift scans the distinct rows only; ``inverse`` maps each batch
+        # row back to its distinct row.  Unhashable rows are all distinct.
+        try:
+            index: dict[tuple, int] = {}
+            self._inverse = np.fromiter(
+                (index.setdefault(row, len(index)) for row in rows),
+                dtype=np.intp,
+                count=len(rows),
+            )
+            self._distinct = tuple(index)
+        except TypeError:
+            self._distinct = rows
+            self._inverse = np.arange(len(rows), dtype=np.intp)
         self._interner = self._batch.interner
         self._y_interners = self._batch.y_interners
         self._space_size = self._batch.space_size
@@ -578,10 +599,7 @@ class BatchSimulator:
             seen: dict[Any, int] = {}
             ok = batch.node_liftable(i)
             if ok:
-                scan = (
-                    self.inputs[:1] if self._uniform_inputs else self.inputs
-                )
-                for row in scan:
+                for row in self._distinct:
                     x = row[i]
                     try:
                         if x in seen:
@@ -603,7 +621,6 @@ class BatchSimulator:
 
         self._fallback = fallback
         self._groups = []
-        B = self.batch_size
         for (degree, n_out), members in sorted(lifted.items()):
             group = _Group()
             group.nodes = np.asarray([i for i, _, _ in members], dtype=np.int64)
@@ -635,32 +652,16 @@ class BatchSimulator:
             # the per-row base offsets pack to the matching dtype; the
             # gather-plus-base sum then promotes to (at most) that dtype and
             # can never wrap.
-            index_dtype = packed_dtype(max(offset, 1))
-            # One xbase row per distinct input vector, broadcast to its rows
-            # (sweeps typically share one input vector across the population).
-            xbase = np.zeros((B, len(members)), dtype=index_dtype)
-            if self._uniform_inputs:
-                row = self.inputs[0]
-                xbase[:] = [
-                    offsets[g] + seen[row[i]] * block
-                    for g, (i, _, seen) in enumerate(members)
-                ]
-            else:
-                try:
-                    unique_rows: dict[tuple, list[int]] = {}
-                    for b, row in enumerate(self.inputs):
-                        unique_rows.setdefault(row, []).append(b)
-                except TypeError:  # unhashable input rows: assign row by row
-                    for b, row in enumerate(self.inputs):
-                        for g, (i, _, seen) in enumerate(members):
-                            xbase[b, g] = offsets[g] + seen[row[i]] * block
-                else:
-                    for row, row_slots in unique_rows.items():
-                        vector = [
-                            offsets[g] + seen[row[i]] * block
-                            for g, (i, _, seen) in enumerate(members)
-                        ]
-                        xbase[row_slots] = vector
+            base = np.asarray(
+                [
+                    [
+                        offsets[g] + seen[row[i]] * block
+                        for g, (i, _, seen) in enumerate(members)
+                    ]
+                    for row in self._distinct
+                ],
+                dtype=packed_dtype(max(offset, 1)),
+            )
             group.out_table = np.concatenate(out_parts)
             group.out_flat = (
                 np.ascontiguousarray(group.out_table[:, 0])
@@ -677,16 +678,12 @@ class BatchSimulator:
             )
             group.valid = np.concatenate(valid_parts)
             group.all_valid = bool(group.valid.all())
-            group.xbase = xbase
-            group.xbase_zero = not xbase.any()
-            group.xbase_row = None
-            if not group.xbase_zero and bool((xbase == xbase[0]).all()):
-                # Every row shares one input vector: a single base row
-                # broadcasts, saving a (B, g) gather per step.
-                group.xbase_row = xbase[0]
+            group.xbase = base[self._inverse]
+            # Every row shares one base row: it broadcasts, saving a (B, g)
+            # gather per step.
+            group.xbase_row = base[0] if (base == base[0]).all() else None
             group.degree = degree
             group.in_pos_flat = group.in_pos[:, 0] if degree == 1 else None
-            group.comb = None  # lazy: fused (label | output << 8) table
             group.s2 = None  # lazy: binary-space arithmetic constants
             group.y_cast = None  # lazy: y_table cast to the run's y dtype
             # Cyclic-shift reads (ring families): the per-step gather
@@ -779,9 +776,7 @@ class BatchSimulator:
                 keys = sub[:, group.in_pos] @ group.powers  # (L, g)
             else:
                 keys = np.zeros((L, len(group.nodes)), dtype=np.int64)
-            if group.xbase_zero:
-                idx = keys
-            elif group.xbase_row is not None:
+            if group.xbase_row is not None:
                 idx = keys + group.xbase_row
             else:
                 idx = group.xbase[live_slots] + keys
@@ -825,21 +820,6 @@ class BatchSimulator:
         """
         if self._groups and self._interner.size > self._space_size:
             self._demote_all()
-        mono = self._mono
-        if mono is not None:
-            keys = sub[:, mono.in_pos_flat]
-            if not mono.xbase_zero:
-                if mono.xbase_row is not None:
-                    keys = keys + mono.xbase_row
-                elif mono.xbase.shape[0] == sub.shape[0]:
-                    keys = keys + mono.xbase
-                else:
-                    keys = keys + mono.xbase[live_slots]
-            updates = mono.out_flat[keys]
-            ys = mono.y_table[keys]
-            if mask.all():
-                return updates, ys
-            return np.where(mask, updates, sub), np.where(mask, ys, osub)
         new_sub = sub.copy()
         new_osub = osub.copy()
         self._apply_groups(sub, new_sub, new_osub, mask, live_slots)
@@ -865,7 +845,7 @@ class BatchSimulator:
         wider than the inputs' when a fallback reaction interned labels
         past the packed range (packed codes never wrap).
         """
-        if not self._uniform_inputs:
+        if len(self._distinct) != 1:
             raise ValidationError(
                 "step_codes requires a batch built over one shared"
                 " input vector"
@@ -952,53 +932,43 @@ class BatchSimulator:
             shift = mono.shift
             table = mono.out_flat
             ytab = mono.y_table
-            if mono.xbase_zero:
-                xb = None
-            elif mono.xbase_row is not None:
-                xb = mono.xbase_row
-            elif mono.xbase.shape[0] == L:
-                xb = mono.xbase
-            else:
-                xb = mono.xbase[live]
+            # The one base row every row shares (None: per-row bases).
+            shared_xb = (
+                mono.xbase_row.astype(np.int64)
+                if mono.xbase_row is not None
+                else None
+            )
             if (
                 self._kernel == "numba"
                 and _kernels.HAVE_NUMBA
-                and (mono.xbase_zero or mono.xbase_row is not None)
+                and shared_xb is not None
                 and all(mk.ndim == 1 for mk in masks)
             ):
-                base = (
-                    np.zeros(len(flat), dtype=np.int64)
-                    if mono.xbase_zero
-                    else mono.xbase_row.astype(np.int64)
-                )
                 _kernels.mono_window(
                     stack,
                     ostack,
                     np.ascontiguousarray(np.stack(masks)),
                     np.ascontiguousarray(flat),
-                    base,
+                    shared_xb,
                     table,
                     ytab,
                 )
                 return None
             m = stack.shape[2]
-            shared_xb = None
-            if mono.xbase_zero:
-                shared_xb = np.zeros(m, dtype=np.int64)
-            elif mono.xbase_row is not None:
-                shared_xb = mono.xbase_row.astype(np.int64)
-            packed_u8 = (
-                stack.dtype == np.uint8
+            xb = mono.xbase[live] if shared_xb is None else None
+            use_s2 = (
+                self._space_size == 2
+                and shared_xb is not None
+                and stack.dtype == np.uint8
                 and ostack.dtype == np.uint8
                 and table.dtype == np.uint8
                 and ytab.dtype == np.uint8
             )
-            if packed_u8 and self._space_size == 2 and shared_xb is not None:
+            if use_s2:
                 # Binary alphabet: each per-edge table holds two entries, so
                 # the lookup collapses to arithmetic select over the packed
                 # u8 arrays — ``entry0 ^ code * (entry0 ^ entry1)`` — with
                 # no index conversion at all.
-                variant = "s2"
                 if mono.s2 is None:
                     a0 = table[shared_xb]
                     a1 = table[shared_xb + 1]
@@ -1017,17 +987,7 @@ class BatchSimulator:
                         bool((yflip == 1).all()),
                     )
                 base_row, flip, ybase, yflip, flip_unit, yflip_unit = mono.s2
-            elif packed_u8:
-                # Fuse the label and output tables into one u16 lookup: one
-                # gather per step instead of two, split by cheap bit ops.
-                variant = "comb"
-                if mono.comb is None:
-                    mono.comb = table.astype(np.uint16) | (
-                        ytab.astype(np.uint16) << 8
-                    )
-                comb = mono.comb
             else:
-                variant = "takes"
                 if mono.y_cast is None or mono.y_cast.dtype != ostack.dtype:
                     mono.y_cast = (
                         ytab
@@ -1058,25 +1018,14 @@ class BatchSimulator:
             s_words = (m * stack.dtype.itemsize) % 8 == 0
             o_words = (m * ostack.dtype.itemsize) % 8 == 0
             gather = np.empty((tile, m), dtype=stack.dtype)
-            wide = (
-                np.empty((tile, m), dtype=np.uint16)
-                if variant == "comb"
-                else None
-            )
-            idx = (
-                np.empty((tile, m), dtype=np.intp)
-                if variant != "s2"
-                else None
-            )
+            idx = None if use_s2 else np.empty((tile, m), dtype=np.intp)
             for r0 in range(0, L, tile):
                 r1 = min(L, r0 + tile)
                 height = r1 - r0
                 st = stack[:, r0:r1]
                 ost = ostack[:, r0:r1]
                 g = gather[:height]
-                xb_t = None
-                if shared_xb is None and xb is not None:
-                    xb_t = xb[r0:r1]
+                xb_t = shared_xb if xb is None else xb[r0:r1]
                 for j, mk in enumerate(masks):
                     src = st[j]
                     if shift is not None:
@@ -1088,7 +1037,7 @@ class BatchSimulator:
                         # mode="clip" skips the bounds check; ``flat`` is a
                         # compile-time permutation, always in range.
                         np.take(src, flat, axis=1, out=g, mode="clip")
-                    if variant == "s2":
+                    if use_s2:
                         if flip_unit:
                             np.bitwise_xor(g, base_row, out=st[j + 1])
                         else:
@@ -1099,29 +1048,9 @@ class BatchSimulator:
                         else:
                             np.multiply(g, yflip, out=ost[j + 1])
                             np.bitwise_xor(ost[j + 1], ybase, out=ost[j + 1])
-                    elif variant == "comb":
-                        i_ = idx[:height]
-                        w_ = wide[:height]
-                        np.add(
-                            g,
-                            shared_xb if shared_xb is not None else xb_t,
-                            out=i_,
-                            casting="unsafe",
-                        )
-                        np.take(comb, i_, out=w_, mode="clip")
-                        np.bitwise_and(
-                            w_, 0xFF, out=st[j + 1], casting="unsafe"
-                        )
-                        np.right_shift(w_, 8, out=w_)
-                        np.copyto(ost[j + 1], w_, casting="unsafe")
                     else:
                         i_ = idx[:height]
-                        if shared_xb is not None:
-                            np.add(g, shared_xb, out=i_, casting="unsafe")
-                        elif xb_t is not None:
-                            np.add(g, xb_t, out=i_, casting="unsafe")
-                        else:
-                            np.copyto(i_, g, casting="unsafe")
+                        np.add(g, xb_t, out=i_, casting="unsafe")
                         np.take(table, i_, out=st[j + 1], mode="clip")
                         np.take(ytab_cast, i_, out=ost[j + 1], mode="clip")
                     mk = masks[j]
@@ -1743,114 +1672,36 @@ class BatchSimulator:
                 t0_local = t0[slots]
                 open_ = np.ones(rows.size, dtype=bool)
                 fin: list[tuple[int, int, int, int, int]] = []
-                if all(mk.ndim == 1 for mk in masks):
-                    # Shared-schedule windows: the witness evolution between
-                    # two label changes depends only on the masks, not the
-                    # row, so coverage is precomputed per window (tiny (k, n)
-                    # scans) and the per-step work drops to O(rows) integer
-                    # ops — a row finishes at step j exactly when j is its
-                    # segment's precomputed full-coverage step.
-                    mask_block = np.stack(masks)
-                    prefix = np.logical_or.accumulate(mask_block, axis=0)
-                    #: First window step covering each node (k = never).
-                    first_cover = np.where(
-                        prefix[-1], np.argmax(prefix, axis=0), k
-                    ).astype(np.int16)  # shrinks the (rows, n) temp below 4x
-                    suffix = np.zeros((k + 1, n), dtype=bool)
-                    for s in range(k - 1, -1, -1):
-                        suffix[s] = suffix[s + 1] | mask_block[s]
-                    #: nextfull[s] = first j >= s with mk[s..j] covering every
-                    #: node (k = not in this window).
-                    nextfull = np.full(k + 1, k, dtype=np.int64)
-                    for s in range(k):
-                        if not suffix[s].all():
-                            break
-                        acc = mask_block[s].copy()
-                        j2 = s
-                        while not acc.all():
-                            j2 += 1
-                            acc |= mask_block[j2]
-                        nextfull[s] = j2
-                    # A row's pending finish step: while it has not changed
-                    # in-window, the first step whose mask prefix covers
-                    # everything its carried witness set is missing.
-                    pending = np.maximum(
-                        np.where(~wit, first_cover, -1).max(axis=1), 0
-                    )
-                    lastc = np.full(rows.size, -1, dtype=np.int64)
-                    olastc = np.full(rows.size, -1, dtype=np.int64)
-                    for j in range(k):
-                        ch = diffs[j] & open_
-                        if ch.any():
-                            lastc[ch] = j
-                            pending[ch] = nextfull[j + 1]
-                        och = odiffs[j] & open_
-                        if och.any():
-                            olastc[och] = j
-                        done = open_ & (pending == j) & ~diffs[j]
-                        if done.any():
+                for j in range(k):
+                    changed = diffs[j] & open_
+                    if changed.any():
+                        llc_local[changed] = (t + j) - t0_local[changed]
+                        wit[changed] = False
+                    unchanged = open_ & ~diffs[j]
+                    ochanged = odiffs[j] & open_
+                    if ochanged.any():
+                        loc_local[ochanged] = (t + j) - t0_local[ochanged]
+                    if unchanged.any():
+                        mk = masks[j]
+                        # A shared (n,) mask broadcasts over the rows.
+                        wit[unchanged] |= (
+                            mk if mk.ndim == 1 else mk[rows[unchanged]]
+                        )
+                        candidates = np.flatnonzero(unchanged)
+                        done = candidates[wit[candidates].all(axis=1)]
+                        if done.size:
                             finished_any = True
-                            for ii in np.flatnonzero(done).tolist():
-                                lc = int(lastc[ii])
-                                label_last = (
-                                    t + lc - int(t0_local[ii])
-                                    if lc >= 0
-                                    else int(llc_local[ii])
-                                )
-                                oc = int(olastc[ii])
-                                output_last = (
-                                    t + oc - int(t0_local[ii])
-                                    if oc >= 0
-                                    else int(loc_local[ii])
-                                )
+                            for ii in done.tolist():
                                 fin.append(
                                     (
                                         int(slots[ii]),
                                         int(rows[ii]),
                                         j,
-                                        label_last + 1,
-                                        output_last + 1,
+                                        int(llc_local[ii]) + 1,
+                                        int(loc_local[ii]) + 1,
                                     )
                                 )
                             open_[done] = False
-                    np.copyto(llc_local, t + lastc - t0_local, where=lastc >= 0)
-                    np.copyto(
-                        loc_local, t + olastc - t0_local, where=olastc >= 0
-                    )
-                    # Witness at window exit: the mask union since the last
-                    # change, plus the carried set for never-changed rows.
-                    wit_out = suffix[lastc + 1]
-                    first_seg = lastc < 0
-                    wit_out[first_seg] |= wit[first_seg]
-                    wit = wit_out
-                else:
-                    for j in range(k):
-                        changed = diffs[j] & open_
-                        if changed.any():
-                            llc_local[changed] = (t + j) - t0_local[changed]
-                            wit[changed] = False
-                        unchanged = open_ & ~diffs[j]
-                        ochanged = odiffs[j] & open_
-                        if ochanged.any():
-                            loc_local[ochanged] = (t + j) - t0_local[ochanged]
-                        if unchanged.any():
-                            mk = masks[j]
-                            wit[unchanged] |= mk[rows[unchanged]]
-                            candidates = np.flatnonzero(unchanged)
-                            done = candidates[wit[candidates].all(axis=1)]
-                            if done.size:
-                                finished_any = True
-                                for ii in done.tolist():
-                                    fin.append(
-                                        (
-                                            int(slots[ii]),
-                                            int(rows[ii]),
-                                            j,
-                                            int(llc_local[ii]) + 1,
-                                            int(loc_local[ii]) + 1,
-                                        )
-                                    )
-                                open_[done] = False
                 witnessed[slots] = wit
                 llc[slots] = llc_local
                 loc[slots] = loc_local

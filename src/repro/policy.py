@@ -52,10 +52,6 @@ class ExecutionPolicy:
       ``"auto"``; requires ``executor="batch"`` (``None`` defers).
     * ``processes`` — ``multiprocessing`` fan-out width for sweeps
       (``None``/``1`` means in-process).
-    * ``chunk_rows`` — batch sub-batch size (rows per resident stack);
-      ``None`` uses the backend default
-      (:data:`repro.core.batch.SWEEP_CHUNK_ROWS`); requires
-      ``executor="batch"``.
     * ``symmetry`` — exploration quotient: ``"none"``, ``"auto"``, or an
       explicit :class:`~repro.graphs.automorphisms.SymmetryGroup`.
     * ``spill_dir`` — directory for disk-backed (memmap) edge/parent
@@ -67,7 +63,6 @@ class ExecutionPolicy:
     executor: str = "serial"
     kernel: str | None = None
     processes: int | None = None
-    chunk_rows: int | None = None
     symmetry: object = "none"
     spill_dir: str | os.PathLike | None = None
 
@@ -88,14 +83,6 @@ class ExecutionPolicy:
                     "kernel= selects a batch compute kernel;"
                     " it requires executor='batch'"
                 )
-        if self.chunk_rows is not None:
-            if self.executor != "batch":
-                raise ValidationError(
-                    "chunk_rows= sizes batch sub-batches;"
-                    " it requires executor='batch'"
-                )
-            if self.chunk_rows < 1:
-                raise ValidationError("chunk_rows must be >= 1")
         if self.processes is not None and self.processes < 1:
             raise ValidationError("processes must be >= 1")
 

@@ -43,10 +43,8 @@ from repro.service.cache import ResultCache
 from repro.service.plan import CaseSpec, SweepPlan
 
 
-def resolve_plan_runner(
-    kind: str, executor: str, kernel: str | None, chunk_rows: int | None = None
-):
-    """The case-runner callable for a plan kind / executor / kernel triple.
+def resolve_plan_runner(kind: str, policy: ExecutionPolicy):
+    """The case-runner callable for a plan kind under ``policy``.
 
     Validation (and the error messages) match the legacy one-shot entry
     points, which call this before touching cases or factories.
@@ -59,24 +57,10 @@ def resolve_plan_runner(
         raise ValidationError(
             f"unknown plan kind {kind!r}; expected 'sweep' or 'resilience'"
         )
-    runner = resolve_executor(executor, table)
-    batch_options = {}
-    if kernel is not None:
-        if executor != "batch":
-            raise ValidationError(
-                "kernel= selects a batch compute kernel;"
-                " it requires executor='batch'"
-            )
-        batch_options["kernel"] = kernel
-    if chunk_rows is not None:
-        if executor != "batch":
-            raise ValidationError(
-                "chunk_rows= sizes batch sub-batches;"
-                " it requires executor='batch'"
-            )
-        batch_options["chunk_rows"] = chunk_rows
-    if batch_options:
-        runner = functools.partial(runner, **batch_options)
+    runner = resolve_executor(policy.executor, table)
+    if policy.kernel is not None:
+        # ExecutionPolicy guarantees a kernel comes with executor="batch".
+        runner = functools.partial(runner, kernel=policy.kernel)
     return runner
 
 
@@ -208,7 +192,7 @@ def iter_shards(
     """Execute a plan shard by shard, yielding progress as each completes.
 
     ``policy`` (:class:`repro.ExecutionPolicy`) selects the case backend,
-    kernel, fan-out width, and batch chunking; when omitted, the plan's own
+    kernel, and fan-out width; when omitted, the plan's own
     attached policy (:attr:`SweepPlan.policy`) applies, then the defaults.
     ``recovered`` names (or is) the recovery criterion for resilience plans
     (default ``"label"``, as in the one-shot runner); it is rejected for
@@ -217,9 +201,7 @@ def iter_shards(
     """
     policy = policy or plan.policy or DEFAULT_POLICY
     processes = policy.processes
-    runner = resolve_plan_runner(
-        plan.kind, policy.executor, policy.kernel, policy.chunk_rows
-    )
+    runner = resolve_plan_runner(plan.kind, policy)
     if plan.kind == "resilience":
         criterion = resolve_criterion("label" if recovered is None else recovered)
     else:

@@ -968,6 +968,90 @@ class TestLiftTiers:
             BatchSimulator(protocol, [(0,) * 3])
 
 
+# -- input lift --------------------------------------------------------------
+
+
+def _pair_input_ring(n: int) -> StatelessProtocol:
+    """A ring whose private inputs are pairs: flip by ``x[0]``, output ``x[1]``."""
+    topology = unidirectional_ring(n)
+
+    def make(i):
+        def fn(incoming, x):
+            (value,) = incoming.values()
+            return value ^ x[0], x[1]
+
+        return UniformReaction(topology.out_edges(i), fn)
+
+    return StatelessProtocol(
+        topology, binary(), [make(i) for i in range(n)], name=f"pair-ring({n})"
+    )
+
+
+def _fresh_row(bits):
+    """An input row built from new tuple objects on every call."""
+    return tuple(tuple([b, 1 - b]) for b in bits)
+
+
+class TestInputLift:
+    """The lift dedupes input rows by equality, scans only the distinct
+    rows, and demotes exactly the nodes preflight predicts."""
+
+    N = 4
+
+    def _population(self, with_list):
+        a, b, c = (0, 1, 1, 0), (1, 1, 0, 0), (0, 0, 0, 1)
+        # Repeats in non-contiguous order, each a distinct but equal object.
+        rows = [_fresh_row(bits) for bits in (a, b, a, c, b, a)]
+        if with_list:
+            row = list(_fresh_row(c))
+            row[2] = [1, 0]  # a list input: unhashable
+            rows.insert(3, tuple(row))
+        return rows
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("with_list", [False, True])
+    def test_matches_preflight_and_serial(self, kernel, with_list):
+        from repro.service import plan_sweep
+        from repro.statics import verify_plan
+
+        protocol = _pair_input_ring(self.N)
+        inputs = self._population(with_list)
+        rng = random.Random(5)
+        labelings, _, schedules = random_rows(rng, protocol, len(inputs))
+        cases = [
+            SweepCase(x, labeling)
+            for x, labeling in zip(inputs, labelings, strict=True)
+        ]
+        preflight = verify_plan(
+            plan_sweep(protocol, cases, lambda i, case: schedules[i])
+        )
+        demoted = {node for _, node in preflight.case_demotions}
+        assert demoted == ({2} if with_list else set())
+        simulator = BatchSimulator(protocol, inputs, kernel=kernel)
+        assert set(simulator.lifted_nodes) == (
+            set(preflight.protocol.predicted_lifted) - demoted
+        )
+        batch = simulator.run_batch(labelings, schedules, max_steps=60)
+        for b, report in enumerate(batch):
+            serial = Simulator(protocol, inputs[b]).run(
+                labelings[b], schedules[b], max_steps=60
+            )
+            assert_reports_equal(serial, report)
+
+    def test_step_codes_accepts_equal_distinct_rows(self):
+        protocol = _pair_input_ring(self.N)
+        inputs = [_fresh_row((0, 1, 1, 0)) for _ in range(3)]
+        assert inputs[0] is not inputs[1]
+        engine = BatchSimulator(protocol, inputs, kernel="numpy")
+        rows = list(product((0, 1), repeat=protocol.topology.m))
+        codes = np.asarray(rows, dtype=np.uint8)
+        ocodes = np.zeros((len(rows), self.N), dtype=np.uint8)
+        new_codes, _ = engine.step_codes(codes, ocodes, {0, 2})
+        for row, new in zip(rows, new_codes.tolist(), strict=True):
+            want, _ = engine.compiled.step_values(row, None, {0, 2}, inputs[0])
+            assert tuple(new) == want
+
+
 # -- fire_batch contract -----------------------------------------------------
 
 

@@ -86,8 +86,6 @@ class TestExecutionPolicy:
             ({"executor": "gpu"}, "unknown executor"),
             ({"executor": "batch", "kernel": "metal"}, "unknown kernel"),
             ({"kernel": "numpy"}, "executor='batch'"),
-            ({"chunk_rows": 512}, "executor='batch'"),
-            ({"executor": "batch", "chunk_rows": 0}, "chunk_rows"),
             ({"processes": 0}, "processes"),
         ],
     )
@@ -95,10 +93,18 @@ class TestExecutionPolicy:
         with pytest.raises(ValidationError, match=match):
             ExecutionPolicy(**fields)
 
-    @pytest.mark.parametrize("fields", [{"frontier": "serial"}, {"batch_min_rows": 1}])
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"frontier": "serial"},
+            {"batch_min_rows": 1},
+            {"executor": "batch", "chunk_rows": 512},
+        ],
+    )
     def test_removed_fields_are_a_type_error(self, fields):
-        # The staged batch frontier and its row threshold are gone; the
-        # exploration core always runs the serial scan.
+        # The staged batch frontier and its row threshold are gone (the
+        # exploration core always runs the serial scan), and batch sweeps
+        # always slice at SWEEP_CHUNK_ROWS.
         with pytest.raises(TypeError, match="unexpected keyword argument"):
             ExecutionPolicy(**fields)
 
